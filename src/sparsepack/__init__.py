@@ -21,8 +21,8 @@ from .core import (FEAS_TOL, FractionalSolution, PackingInstance,
                    make_instance, objective_value, require_valid,
                    save_instance, usage_vector, validate_instance)
 from .errors import (AttenuationError, DegreeError, DomainError,
-                     EstimateError, InfeasibleError, InternalInvariantError,
-                     ParamError, SizeError, SparsepackError, UnboundedError,
+                     EstimateError, InternalInvariantError, ParamError,
+                     SizeError, SparsepackError, UnboundedError,
                      ValidationError)
 from .graphcolor import (Coloring, DiGraph, color_directed_graph,
                          color_neg_corr, make_digraph, neg_corr_palette,

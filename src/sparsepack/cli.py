@@ -14,7 +14,6 @@ reports regardless of --jobs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -22,17 +21,17 @@ import sys
 
 from .errors import (InternalInvariantError, ParamError, SparsepackError,
                      ValidationError)
-from .harness import (ExperimentSpec, brute_force_opt, empirical_ratio,
-                      format_report, gen_gap_instance, gen_random_hypergraph,
-                      gen_random_kcs, gen_random_tree, gen_sksp_instance,
-                      write_report_csv)
-from .hypermatch import hypergraph_to_dict, load_hypergraph
+from .harness import (ALGORITHMS, SCHEMES, ExperimentSpec, brute_force_opt,
+                      empirical_ratio, format_report, gen_gap_instance,
+                      gen_random_hypergraph, gen_random_kcs, gen_random_tree,
+                      gen_sksp_instance, write_report_csv)
+from .hypermatch import hypergraph_to_dict
 from .kcspip import (KcsParams, exact_inclusion_probabilities,
                      exact_pairwise_probabilities, instance_k)
 from .lp import solve_packing_lp
-from .sksp import compute_schedule, load_sksp, sksp_to_dict
-from .ufptree import optimize_alpha, load_tree, tree_to_dict
-from .core import instance_to_dict, load_instance
+from .sksp import compute_schedule, sksp_to_dict
+from .ufptree import optimize_alpha, tree_to_dict
+from .core import instance_to_dict, load_instance, write_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,12 +54,10 @@ def _resolve_seed(value):
 
 
 def _emit(obj, path):
-    text = json.dumps(obj, indent=1) + "\n"
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(obj, indent=1) + "\n")
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        write_json(obj, path)
 
 
 def _load_input(loader, path):
@@ -120,62 +117,27 @@ def _cmd_solve_lp(args):
     _emit({"objective": sol.objective, "x": list(sol.x)}, args.output)
 
 
-_LOADERS = {
-    "kcspip": load_instance,
-    "bkns": load_instance,
-    "sksp": load_sksp,
-    "hm": load_hypergraph,
-    "ufp": load_tree,
-}
-
-
-def _kcs_param_overrides(instance, args):
-    """Start from the defaults for the instance's sparsity, then apply
-    any of --alpha, --ell, --d, --epsilon the user supplied."""
-    base = KcsParams.defaults(instance_k(instance), epsilon=args.epsilon)
-    changes = {}
-    if args.alpha is not None:
-        changes["alpha"] = args.alpha
-    if args.ell is not None:
-        changes["ell"] = args.ell
-    if args.d is not None:
-        changes["d"] = args.d
-    if changes:
-        return dataclasses.replace(base, **changes)
-    return base
-
-
 def _cmd_round(args):
-    alg = args.algorithm
-    instance = _load_input(_LOADERS[alg], args.instance)
-    params = {}
-    if alg == "kcspip":
-        params["kcs_params"] = _kcs_param_overrides(instance, args)
-    if alg == "bkns" and args.alpha is not None:
-        params["alpha"] = args.alpha
-    if alg == "ufp" and args.alpha is not None:
-        params["alpha"] = args.alpha
-    if alg == "sksp":
-        if args.chances is not None:
-            params["T"] = args.chances
-        params["attenuate_last"] = not args.no_attenuate_last
-    if alg in ("sksp", "ufp") and args.sim_budget is not None:
-        params["sim_budget"] = args.sim_budget
+    scheme = SCHEMES[args.algorithm]
+    instance = _load_input(scheme.load, args.instance)
+    flags = {
+        "alpha": args.alpha, "ell": args.ell, "d": args.d,
+        "epsilon": args.epsilon, "T": args.chances,
+        "sim_budget": args.sim_budget,
+        "attenuate_last": not args.no_attenuate_last,
+    }
     spec = ExperimentSpec(
-        algorithm=alg,
+        algorithm=args.algorithm,
         instance=instance,
         trials=args.trials,
         seed=_resolve_seed(args.seed),
         jobs=args.jobs,
-        params=params,
+        params={key: v for key, v in flags.items() if v is not None},
         sink=args.json,
     )
     x = None
     if args.x is not None:
-        n = len(instance.edges) if alg == "hm" else (
-            instance.n_demands if alg == "ufp" else instance.n
-        )
-        x = _load_x(args.x, n)
+        x = _load_x(args.x, len(scheme.weights(instance)))
     report = empirical_ratio(spec, x=x)
     sys.stdout.write(format_report(report))
     if args.csv is not None:
@@ -298,7 +260,7 @@ def build_parser():
     p.set_defaults(func=_cmd_solve_lp)
 
     p = sub.add_parser("round", help="run rounding trials and report ratios")
-    p.add_argument("algorithm", choices=sorted(_LOADERS))
+    p.add_argument("algorithm", choices=ALGORITHMS)
     p.add_argument("--instance", required=True)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--jobs", type=int, default=1)

@@ -134,12 +134,18 @@ def validate_instance(inst):
     return ValidationReport(tuple(v))
 
 
-def require_valid(inst):
-    """Raise ValidationError unless the instance validates cleanly."""
-    rep = validate_instance(inst)
+def require_clean(validate, obj):
+    """Return obj, or raise ValidationError listing every violation that
+    `validate` reports for it."""
+    rep = validate(obj)
     if not rep.ok:
         raise ValidationError("; ".join(rep.violations))
-    return inst
+    return obj
+
+
+def require_valid(inst):
+    """Raise ValidationError unless the instance validates cleanly."""
+    return require_clean(validate_instance, inst)
 
 
 def column_sparsity(inst):
@@ -198,12 +204,21 @@ def instance_from_dict(d):
     return require_valid(inst)
 
 
-def save_instance(inst, path):
+def write_json(obj, path):
+    """The one on-disk JSON layout: indent 1, trailing newline."""
     with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=1)
+        json.dump(obj, fh, indent=1)
         fh.write("\n")
 
 
-def load_instance(path):
+def read_json(path):
     with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+        return json.load(fh)
+
+
+def save_instance(inst, path):
+    write_json(instance_to_dict(inst), path)
+
+
+def load_instance(path):
+    return instance_from_dict(read_json(path))

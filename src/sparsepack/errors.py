@@ -46,9 +46,5 @@ class InternalInvariantError(SparsepackError):
     """A postcondition that should hold by construction was violated."""
 
 
-class InfeasibleError(SparsepackError):
-    """The LP has no feasible point (cannot happen for packing LPs)."""
-
-
 class UnboundedError(SparsepackError):
     """The LP is unbounded (cannot happen with box constraints)."""

@@ -41,9 +41,6 @@ class DiGraph:
                 if not (0 <= u < self.n):
                     raise ValidationError(f"arc ({v},{u}) out of range")
 
-    def out_degrees(self):
-        return [len(nbrs) for nbrs in self.out]
-
     def undirected_adjacency(self):
         """Neighbor sets ignoring direction (deduplicated)."""
         adj = [set() for _ in range(self.n)]

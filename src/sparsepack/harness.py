@@ -28,38 +28,37 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
-from .core import (FEAS_TOL, check_feasible, make_instance, objective_value,
-                   require_valid)
+from .core import (FEAS_TOL, PackingInstance, check_feasible, load_instance,
+                   make_instance, objective_value, require_valid)
 from .errors import (InternalInvariantError, ParamError, SizeError,
                      ValidationError)
-from .hypermatch import (_sweep, attenuation_g, is_matching, make_hypergraph,
-                         matching_weight, require_valid_hypergraph,
-                         theoretical_bound)
+from .hypermatch import (HmRounder, attenuation_g, is_matching,
+                         load_hypergraph, make_hypergraph, matching_weight,
+                         require_valid_hypergraph, theoretical_bound)
 from .kcspip import (EXACT_MARGINAL_CAP, BknsRounder, KcsParams, KcsRounder,
                      instance_k)
 from .lp import solve_packing_lp
 from .montecarlo import binomial_stderr, trial_rng
 from .sksp import (MultiChanceSampler, SkspInstance, compute_schedule,
-                   default_chances, make_item, solve_sksp_lp)
-from .ufptree import (UfpCrScheme, UfpParams, edge_usage, make_tree,
+                   default_chances, load_sksp, make_item, solve_sksp_lp)
+from .ufptree import (UfpCrScheme, UfpParams, edge_usage, load_tree, make_tree,
                       optimize_alpha, routed_weight, tree_lp_instance)
 
 BRUTE_FORCE_CAP = 24
 CHUNK_TRIALS = 4096
 
 # Counter-stream module ids.  0 is the generic montecarlo default;
-# 1-5 are trial streams, 101-105 the matching setup pools (attenuation
-# estimation), 11-15 instance generators, 21 the memoized oracle path.
-_TRIAL_STREAM = {"kcspip": 1, "bkns": 2, "sksp": 3, "hm": 4, "ufp": 5}
+# 1-5 are trial streams (the `stream` of each SCHEMES entry), 101-105 the
+# matching setup pools (attenuation estimation), 11-15 instance
+# generators, 21 the memoized oracle path.
 _SETUP_STREAM = {"sksp": 103, "ufp": 105}
 _GEN_STREAM = {"gap": 11, "kcs": 12, "hyper": 13, "sksp": 14, "tree": 15}
 _ORACLE_STREAM = 21
-
-ALGORITHMS = tuple(sorted(_TRIAL_STREAM))
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +252,18 @@ class RoundingReport:
 @dataclass
 class ExperimentSpec:
     """What to run: algorithm name, the instance itself, trial count,
-    master seed, process fan-out, per-algorithm parameters (see
-    `empirical_ratio`), and an optional JSON report sink path."""
+    master seed, process fan-out, per-algorithm parameters, and an
+    optional JSON report sink path.
+
+    Recognized params keys:
+        kcspip  alpha, ell, d, epsilon (applied over KcsParams.defaults)
+        bkns    alpha
+        sksp    T, sim_budget, attenuate_last
+        ufp     alpha (default: the balance-optimal rate, whose keep
+                probability is nearly zero; experiments that want to
+                see routing should pass a moderate alpha), sim_budget
+        any     compare_opt (packing instances: attach the exact optimum)
+    Keys a scheme does not read are ignored."""
 
     algorithm: str
     instance: object
@@ -265,7 +274,7 @@ class ExperimentSpec:
     sink: object = None
 
     def __post_init__(self):
-        if self.algorithm not in _TRIAL_STREAM:
+        if self.algorithm not in SCHEMES:
             raise ValidationError(
                 f"unknown algorithm {self.algorithm!r}; expected one of "
                 f"{', '.join(ALGORITHMS)}"
@@ -276,54 +285,149 @@ class ExperimentSpec:
             raise ParamError("jobs must be positive")
 
 
-class _HmRunner:
-    """Per-trial matching sampler with the validation and rate table
-    hoisted out of the loop; draws match `round_matching` exactly."""
-
-    def __init__(self, h, rates):
-        self.h = h
-        self.rates = np.asarray(rates, dtype=float)
-
-    def trial(self, rng):
-        marked = np.nonzero(rng.random(self.h.n) < self.rates)[0].tolist()
-        keys = rng.random(len(marked))
-        return _sweep(self.h, marked, keys)
+def _build_kcspip(inst, x, params, seed):
+    k = instance_k(inst)
+    kp = KcsParams.defaults(k, epsilon=params.get("epsilon"))
+    kp = replace(
+        kp, **{key: params[key] for key in ("alpha", "ell", "d") if key in params})
+    return KcsRounder(inst, x, kp), [v / (2.0 * k) for v in x], []
 
 
-def _evaluate(alg, instance, result):
-    """Normalize one trial result to (chosen set, weight, feasible)."""
-    if alg == "sksp":
-        chosen = result.chosen
-        ok = all(u <= b for u, b in zip(result.usage, instance.capacities))
-        return chosen, result.realized_weight, ok
-    if alg == "hm":
-        return result, matching_weight(instance, result), is_matching(instance, result)
-    if alg == "ufp":
-        u = edge_usage(instance, result)
-        ok = all(
-            u[v] <= instance.edge_capacity[v]
-            for v in range(instance.n_vertices)
-            if v != instance.root
+def _build_bkns(inst, x, params, seed):
+    k = instance_k(inst)
+    runner = BknsRounder(inst, x, alpha=params.get("alpha", 1.0))
+    return runner, [v / (math.e * k) for v in x], []
+
+
+def _build_sksp(inst, x, params, seed):
+    T = params.get("T")
+    if T is None:
+        T = default_chances(inst.k)
+    schedule = compute_schedule(T, inst.k)
+    setup_rng = trial_rng(seed, 0, module=_SETUP_STREAM["sksp"])
+    runner = MultiChanceSampler(
+        inst, x, schedule, setup_rng,
+        sim_budget=params.get("sim_budget"),
+        attenuate_last=params.get("attenuate_last", True),
+    )
+    gamma = sum(schedule.betas)
+    notes = []
+    if runner.underflow:
+        notes.append(
+            f"attenuation clamped at {len(runner.underflow)} "
+            f"(chance, item) pairs: {sorted(set(runner.underflow))[:10]}"
         )
-        return result, routed_weight(instance, result), ok
-    return result, objective_value(instance, result), check_feasible(instance, result)
+    return runner, [gamma * v / inst.k for v in x], notes
+
+
+def _build_hm(h, x, params, seed):
+    runner = HmRounder(h, x, attenuation_g)
+    floors = [v * theoretical_bound(len(vs)) for (vs, _), v in zip(h.edges, x)]
+    return runner, floors, []
+
+
+def _build_ufp(net, x, params, seed):
+    alpha = params.get("alpha")
+    if alpha is None:
+        alpha = optimize_alpha()[0]
+    up = UfpParams(alpha=alpha, sim_budget=params.get("sim_budget", 100_000))
+    setup_rng = trial_rng(seed, 0, module=_SETUP_STREAM["ufp"])
+    runner = UfpCrScheme(net, x, up, setup_rng)
+    notes = []
+    if runner.clamped:
+        notes.append(f"safety estimates below beta for demands {runner.clamped[:10]}")
+    return runner, [up.alpha * up.beta * v for v in x], notes
+
+
+def _evaluate_packing(inst, chosen):
+    return chosen, objective_value(inst, chosen), check_feasible(inst, chosen)
+
+
+def _evaluate_sksp(inst, outcome):
+    ok = all(u <= b for u, b in zip(outcome.usage, inst.capacities))
+    return outcome.chosen, outcome.realized_weight, ok
+
+
+def _evaluate_hm(h, matched):
+    return matched, matching_weight(h, matched), is_matching(h, matched)
+
+
+def _evaluate_ufp(net, routed):
+    u = edge_usage(net, routed)
+    ok = all(
+        u[v] <= net.edge_capacity[v]
+        for v in range(net.n_vertices)
+        if v != net.root
+    )
+    return routed, routed_weight(net, routed), ok
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """Everything the harness and the CLI know about one algorithm.
+
+    stream    counter-stream module id of its trial chunks
+    load      reads an instance file of its format
+    relax     instance -> default x, the relaxation's solution
+    weights   instance -> item weights; their count is the item count
+    build     (instance, x, params, seed) -> (runner, floors, notes);
+              runner.trial(rng) draws one trial result
+    evaluate  (instance, trial result) -> (chosen, weight, feasible)
+    """
+
+    stream: int
+    load: Callable
+    relax: Callable
+    weights: Callable
+    build: Callable
+    evaluate: Callable
+
+
+def _strengthened_lp(inst):
+    return solve_packing_lp(inst, strengthen=True).x
+
+
+SCHEMES = {
+    "kcspip": Scheme(1, load_instance, _strengthened_lp, lambda inst: inst.weights,
+                     _build_kcspip, _evaluate_packing),
+    "bkns": Scheme(2, load_instance, _strengthened_lp, lambda inst: inst.weights,
+                   _build_bkns, _evaluate_packing),
+    "sksp": Scheme(3, load_sksp, lambda inst: solve_sksp_lp(inst).x,
+                   lambda inst: [it.expected_weight for it in inst.items],
+                   _build_sksp, _evaluate_sksp),
+    "hm": Scheme(4, load_hypergraph,
+                 lambda h: solve_packing_lp(hypergraph_lp_instance(h),
+                                            strengthen=False).x,
+                 lambda h: [w for _, w in h.edges], _build_hm, _evaluate_hm),
+    "ufp": Scheme(5, load_tree,
+                  lambda net: solve_packing_lp(tree_lp_instance(net),
+                                               strengthen=False).x,
+                  lambda net: [w for _, _, w in net.demands],
+                  _build_ufp, _evaluate_ufp),
+}
+ALGORITHMS = tuple(sorted(SCHEMES))
 
 
 def _run_chunks(payload):
-    """Worker: run a list of trial chunks and return partial tallies."""
+    """Worker: run a list of trial chunks and return partial tallies.
+
+    The payload names the algorithm rather than carrying its SCHEMES
+    entry, whose functions need not pickle."""
     alg, runner, instance, n_items, seed, trials, chunk_ids = payload
+    scheme = SCHEMES[alg]
+    evaluate = scheme.evaluate
     counts = np.zeros(n_items, dtype=np.int64)
     violations = 0
     flagged = []
     obj_parts = []
     for c in chunk_ids:
-        rng = trial_rng(seed, c, module=_TRIAL_STREAM[alg])
+        rng = trial_rng(seed, c, module=scheme.stream)
         lo = c * CHUNK_TRIALS
         hi = min(trials, lo + CHUNK_TRIALS)
         obj_sum = 0.0
         obj_sq = 0.0
         for t in range(lo, hi):
-            chosen, weight, ok = _evaluate(alg, instance, runner.trial(rng))
+            chosen, weight, ok = evaluate(instance, runner.trial(rng))
             for j in chosen:
                 counts[j] += 1
             obj_sum += weight
@@ -334,88 +438,6 @@ def _run_chunks(payload):
                     flagged.append((c, t - lo))
         obj_parts.append((c, obj_sum, obj_sq))
     return counts, violations, obj_parts, flagged
-
-
-def _build_runner(spec, instance, x):
-    """Instantiate the per-trial runner, its floors, and setup notes.
-
-    Recognized spec.params keys:
-        kcspip  kcs_params (a KcsParams), epsilon
-        bkns    alpha
-        sksp    T, sim_budget, attenuate_last
-        ufp     alpha (default: the balance-optimal rate, whose keep
-                probability is nearly zero; experiments that want to
-                see routing should pass a moderate alpha), sim_budget
-    """
-    alg = spec.algorithm
-    params = spec.params
-    notes = []
-    if alg == "kcspip":
-        kp = params.get("kcs_params")
-        if kp is None:
-            kp = KcsParams.defaults(instance_k(instance), epsilon=params.get("epsilon"))
-        runner = KcsRounder(instance, x, kp)
-        k = instance_k(instance)
-        floors = [v / (2.0 * k) for v in x]
-    elif alg == "bkns":
-        alpha = params.get("alpha", 1.0)
-        runner = BknsRounder(instance, x, alpha=alpha)
-        k = instance_k(instance)
-        floors = [v / (math.e * k) for v in x]
-    elif alg == "sksp":
-        T = params.get("T")
-        if T is None:
-            T = default_chances(instance.k)
-        schedule = compute_schedule(T, instance.k)
-        setup_rng = trial_rng(spec.seed, 0, module=_SETUP_STREAM["sksp"])
-        runner = MultiChanceSampler(
-            instance, x, schedule, setup_rng,
-            sim_budget=params.get("sim_budget"),
-            attenuate_last=params.get("attenuate_last", True),
-        )
-        gamma = sum(schedule.betas)
-        floors = [gamma * v / instance.k for v in x]
-        if runner.underflow:
-            notes.append(
-                f"attenuation clamped at {len(runner.underflow)} "
-                f"(chance, item) pairs: {sorted(set(runner.underflow))[:10]}"
-            )
-    elif alg == "hm":
-        rates = [attenuation_g(v) for v in x]
-        runner = _HmRunner(instance, rates)
-        floors = [
-            v * theoretical_bound(len(instance.edges[e][0]))
-            for e, v in enumerate(x)
-        ]
-    else:
-        alpha = params.get("alpha")
-        if alpha is None:
-            alpha = optimize_alpha()[0]
-        up = UfpParams(alpha=alpha, sim_budget=params.get("sim_budget", 100_000))
-        setup_rng = trial_rng(spec.seed, 0, module=_SETUP_STREAM["ufp"])
-        runner = UfpCrScheme(instance, x, up, setup_rng)
-        floors = [up.alpha * up.beta * v for v in x]
-        if runner.clamped:
-            notes.append(f"safety estimates below beta for demands {runner.clamped[:10]}")
-    return runner, floors, notes
-
-
-def _default_x(alg, instance):
-    if alg in ("kcspip", "bkns"):
-        return solve_packing_lp(instance, strengthen=True).x
-    if alg == "sksp":
-        return solve_sksp_lp(instance).x
-    if alg == "hm":
-        return solve_packing_lp(hypergraph_lp_instance(instance), strengthen=False).x
-    return solve_packing_lp(tree_lp_instance(instance), strengthen=False).x
-
-
-def _item_count(alg, instance):
-    if alg == "hm":
-        return instance.n
-    if alg == "ufp":
-        return instance.n_demands
-    return instance.n
 
 
 def empirical_ratio(spec, x=None):
@@ -429,14 +451,16 @@ def empirical_ratio(spec, x=None):
     written there.
     """
     alg = spec.algorithm
+    scheme = SCHEMES[alg]
     instance = spec.instance
     if x is None:
-        x = _default_x(alg, instance)
+        x = scheme.relax(instance)
     x = [float(v) for v in x]
-    n_items = _item_count(alg, instance)
+    weights = scheme.weights(instance)
+    n_items = len(weights)
     if len(x) != n_items:
         raise ValidationError(f"x has length {len(x)}, expected {n_items}")
-    runner, floors, notes = _build_runner(spec, instance, x)
+    runner, floors, notes = scheme.build(instance, x, spec.params, spec.seed)
 
     n_chunks = (spec.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     payloads = []
@@ -494,15 +518,15 @@ def empirical_ratio(spec, x=None):
         ))
 
     opt_value = None
-    if spec.params.get("compare_opt") and alg in ("kcspip", "bkns"):
+    if spec.params.get("compare_opt") and isinstance(instance, PackingInstance):
         opt_value = brute_force_opt(instance)[0]
 
     stream = (
         f"chunk c holds trials [{CHUNK_TRIALS}c, {CHUNK_TRIALS}(c+1)) and uses "
-        f"SeedSequence((seed, {_TRIAL_STREAM[alg]}, c)); setup pools use module "
+        f"SeedSequence((seed, {scheme.stream}, c)); setup pools use module "
         f"ids {sorted(_SETUP_STREAM.values())}"
     )
-    lp_obj = float(np.dot([w for w in _weights_of(alg, instance)], x))
+    lp_obj = float(np.dot(weights, x))
     report = RoundingReport(
         algorithm=alg,
         trials=trials,
@@ -523,45 +547,14 @@ def empirical_ratio(spec, x=None):
     return report
 
 
-def _weights_of(alg, instance):
-    if alg == "hm":
-        return [w for _, w in instance.edges]
-    if alg == "ufp":
-        return [w for _, _, w in instance.demands]
-    if alg == "sksp":
-        return [it.expected_weight for it in instance.items]
-    return list(instance.weights)
-
-
 # ---------------------------------------------------------------------------
 # Report serialization
 
 def report_to_dict(r):
-    return {
-        "algorithm": r.algorithm,
-        "trials": r.trials,
-        "seed": r.seed,
-        "chunk": r.chunk,
-        "stream": r.stream,
-        "lp_objective": r.lp_objective,
-        "mean_objective": r.mean_objective,
-        "objective_std_err": r.objective_std_err,
-        "feasibility_violations": r.feasibility_violations,
-        "min_ratio": r.min_ratio,
-        "opt_value": r.opt_value,
-        "notes": list(r.notes),
-        "items": [
-            {
-                "index": it.index,
-                "x": it.x,
-                "frequency": it.frequency,
-                "std_err": it.std_err,
-                "floor": it.floor,
-                "ratio": it.ratio,
-            }
-            for it in r.items
-        ],
-    }
+    d = asdict(r)
+    d["items"] = list(d["items"])
+    d["notes"] = list(d["notes"])
+    return d
 
 
 def report_to_json(r):

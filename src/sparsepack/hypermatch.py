@@ -19,13 +19,12 @@ variant g(x) = alpha x is also provided for comparison.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationReport
+from .core import ValidationReport, read_json, require_clean, write_json
 from .errors import DomainError, ValidationError
 
 
@@ -66,10 +65,7 @@ def validate_hypergraph(h):
 
 
 def require_valid_hypergraph(h):
-    rep = validate_hypergraph(h)
-    if not rep.ok:
-        raise ValidationError("; ".join(rep.violations))
-    return h
+    return require_clean(validate_hypergraph, h)
 
 
 def attenuation_g(x):
@@ -109,20 +105,36 @@ def _sweep(h, marked, keys):
     return frozenset(picked)
 
 
+class HmRounder:
+    """Marked-edge sweep with the mark rates g(x_e) fixed up front.
+
+    The constructor checks the hypergraph, the shape of x, and that
+    every rate lies in [0, 1]; `trial` then draws one matching.
+    """
+
+    def __init__(self, h, x, g):
+        require_valid_hypergraph(h)
+        x = np.asarray(x, dtype=float)
+        if x.shape != (h.n,):
+            raise ValidationError(f"x has shape {x.shape}, expected ({h.n},)")
+        rates = np.array([g(v) for v in x])
+        if np.any(rates < 0) or np.any(rates > 1):
+            raise DomainError("mark rates outside [0,1]")
+        self.h = h
+        self.rates = rates
+
+    def trial(self, rng):
+        """Mark with probability g(x_e), sweep by uniform keys (drawn only
+        for marked edges; unmarked edges can never affect the outcome),
+        tie-break by edge index."""
+        marked = np.nonzero(rng.random(self.h.n) < self.rates)[0].tolist()
+        keys = rng.random(len(marked))
+        return _sweep(self.h, marked, keys)
+
+
 def round_matching(h, x, g, rng):
-    """One randomized matching: mark with probability g(x_e), sweep by
-    uniform keys (drawn only for marked edges; unmarked edges can never
-    affect the outcome), tie-break by edge index."""
-    require_valid_hypergraph(h)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (h.n,):
-        raise ValidationError(f"x has shape {x.shape}, expected ({h.n},)")
-    rates = np.array([g(v) for v in x])
-    if np.any(rates < 0) or np.any(rates > 1):
-        raise DomainError("mark rates outside [0,1]")
-    marked = np.nonzero(rng.random(h.n) < rates)[0].tolist()
-    keys = rng.random(len(marked))
-    return _sweep(h, marked, keys)
+    """One randomized matching at mark rates g(x_e)."""
+    return HmRounder(h, x, g).trial(rng)
 
 
 def round_matching_linear(h, x, alpha, rng):
@@ -157,11 +169,8 @@ def hypergraph_from_dict(d):
 
 
 def save_hypergraph(h, path):
-    with open(path, "w") as fh:
-        json.dump(hypergraph_to_dict(h), fh, indent=1)
-        fh.write("\n")
+    write_json(hypergraph_to_dict(h), path)
 
 
 def load_hypergraph(path):
-    with open(path) as fh:
-        return hypergraph_from_dict(json.load(fh))
+    return hypergraph_from_dict(read_json(path))

@@ -162,17 +162,15 @@ def sample_r0(inst, x, params, rng):
 class _RowPrep:
     """Per-row class rosters for one (instance, ell) pair."""
 
-    __slots__ = ("med", "tiny", "big", "coeff")
+    __slots__ = ("med", "tiny", "big")
 
     def __init__(self, inst, ell):
         lo = 1.0 / ell
         self.med = [set() for _ in range(inst.m)]
         self.tiny = [set() for _ in range(inst.m)]
         self.big = [set() for _ in range(inst.m)]
-        self.coeff = {}
         for j, col in enumerate(inst.columns):
             for i, a in col:
-                self.coeff[(i, j)] = a
                 if a > 0.5:
                     self.big[i].add(j)
                 elif a >= lo:

@@ -32,14 +32,14 @@ alpha*_{t'}) / k, clamped at zero.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import ValidationReport, make_instance
+from .core import (ValidationReport, make_instance, read_json, require_clean,
+                   write_json)
 from .errors import AttenuationError, ParamError, ValidationError
 from .lp import solve_packing_lp
 from .montecarlo import EstimationSpec, attenuation_keep_prob, required_samples
@@ -132,10 +132,7 @@ def validate_sksp(inst):
 
 
 def require_valid_sksp(inst):
-    rep = validate_sksp(inst)
-    if not rep.ok:
-        raise ValidationError("; ".join(rep.violations))
-    return inst
+    return require_clean(validate_sksp, inst)
 
 
 def expected_size_instance(inst):
@@ -384,6 +381,13 @@ class MultiChanceSampler:
             if t == self.T - 1 and not attenuate_last:
                 keeps.append(None)
                 continue
+            if not self.targets[t].any():
+                # Nothing may be added here, so no pool is needed; its
+                # probe_estimates row stays NaN.  compute_schedule only
+                # zeroes a suffix of chances, so skipping shifts no later
+                # pool's stream.
+                keeps.append([0.0] * n)
+                continue
             est = self._estimate_chance(t, keeps, rng)
             self.probe_estimates[t] = est
             keeps.append(self._keep_row(t, est))
@@ -429,16 +433,6 @@ class MultiChanceSampler:
         self.engine.run_chunk(self.yp_full, self.keeps, 1, rng, outcomes=outcomes)
         return outcomes[0]
 
-    def run_trials(self, trials, rng):
-        outcomes = []
-        left = trials
-        while left > 0:
-            b = min(left, _CHUNK)
-            self.engine.run_chunk(self.yp_full, self.keeps, b, rng,
-                                  outcomes=outcomes)
-            left -= b
-        return outcomes
-
     def chance_tally(self, trials, rng, batch=10_000):
         """Aggregate many trials without keeping them: per-(chance, item)
         add counts, capacity violations, and double-add violations.
@@ -480,16 +474,6 @@ def run_multichance(inst, x, schedule, rng, sim_budget=None, attenuate_last=True
     return sampler.trial(rng)
 
 
-def expected_weight(realized_weights):
-    """(mean, standard error) of realized trial weights."""
-    w = np.asarray(list(realized_weights), dtype=float)
-    if w.size == 0:
-        raise ValidationError("no trials")
-    mean = float(w.mean())
-    se = float(w.std(ddof=1) / math.sqrt(w.size)) if w.size > 1 else 0.0
-    return mean, se
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange
 
@@ -524,11 +508,8 @@ def sksp_from_dict(d):
 
 
 def save_sksp(inst, path):
-    with open(path, "w") as fh:
-        json.dump(sksp_to_dict(inst), fh, indent=1)
-        fh.write("\n")
+    write_json(sksp_to_dict(inst), path)
 
 
 def load_sksp(path):
-    with open(path) as fh:
-        return sksp_from_dict(json.load(fh))
+    return sksp_from_dict(read_json(path))

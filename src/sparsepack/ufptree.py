@@ -26,14 +26,14 @@ about 0.1226, i.e. roughly 1/8.15.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import ValidationReport, make_instance
+from .core import (ValidationReport, make_instance, read_json, require_clean,
+                   write_json)
 from .errors import EstimateError, ParamError, ValidationError
 from .montecarlo import attenuation_keep_prob
 
@@ -136,10 +136,7 @@ def validate_tree(net):
 
 
 def require_valid_tree(net):
-    rep = validate_tree(net)
-    if not rep.ok:
-        raise ValidationError("; ".join(rep.violations))
-    return net
+    return require_clean(validate_tree, net)
 
 
 def tree_path(net, s, t):
@@ -374,11 +371,8 @@ def tree_from_dict(d):
 
 
 def save_tree(net, path):
-    with open(path, "w") as fh:
-        json.dump(tree_to_dict(net), fh, indent=1)
-        fh.write("\n")
+    write_json(tree_to_dict(net), path)
 
 
 def load_tree(path):
-    with open(path) as fh:
-        return tree_from_dict(json.load(fh))
+    return tree_from_dict(read_json(path))

@@ -7,7 +7,7 @@ import pytest
 
 import sparsepack.cli as cli
 from sparsepack.core import load_instance, save_instance
-from sparsepack.harness import gen_gap_instance
+from sparsepack.harness import CHUNK_TRIALS, gen_gap_instance
 from sparsepack.hypermatch import load_hypergraph
 from sparsepack.sksp import load_sksp
 from sparsepack.ufptree import load_tree
@@ -80,6 +80,42 @@ def test_round_json_is_job_count_invariant(gap_path, tmp_path, capsys):
         assert rc == 0
         reports.append(sink.read_bytes())
     assert reports[0] == reports[1]
+
+
+# (gen family flags, item count, extra round flags) per scheme
+ROUND_CASES = {
+    "kcspip": (["kcs", "--n", "8", "--m", "4", "--k", "2"], 8, []),
+    "bkns": (["kcs", "--n", "8", "--m", "4", "--k", "2"], 8, []),
+    "sksp": (["sksp", "--n", "4", "--m", "3", "--k", "2"], 4,
+             ["--sim-budget", "2000"]),
+    "hm": (["hyper", "--vertices", "6", "--edges", "5", "--k", "2"], 5, []),
+    "ufp": (["tree", "--vertices", "8", "--demands", "5"], 5,
+            ["--alpha", "0.1", "--sim-budget", "2000"]),
+}
+
+
+@pytest.mark.parametrize("alg", sorted(ROUND_CASES))
+def test_round_every_scheme(alg, tmp_path, capsys):
+    family, n, extra = ROUND_CASES[alg]
+    inst = tmp_path / "inst.json"
+    assert run(capsys, "gen", *family, "--seed", "3", "-o", str(inst))[0] == 0
+    argv = ("round", alg, "--instance", str(inst), "--seed", "5", *extra)
+    # two chunks, so --jobs 2 really splits the trials
+    trials = str(CHUNK_TRIALS + 904)
+    reports = []
+    for jobs in ("1", "2"):
+        sink = tmp_path / f"report{jobs}.json"
+        rc, out, _ = run(capsys, *argv, "--trials", trials, "--jobs", jobs,
+                         "--json", str(sink))
+        assert rc == 0
+        assert f"algorithm={alg}" in out
+        reports.append(sink.read_bytes())
+    assert reports[0] == reports[1]
+    xfile = tmp_path / "x.json"
+    xfile.write_text(json.dumps([0.5] * (n + 1)))
+    rc, _, err = run(capsys, *argv, "--trials", "8", "--x", str(xfile))
+    assert rc == 1
+    assert f"array of {n} numbers" in err
 
 
 def test_round_writes_csv(gap_path, tmp_path, capsys):

@@ -17,6 +17,7 @@ from sparsepack.harness import (BRUTE_FORCE_CAP, CHUNK_TRIALS, ExperimentSpec,
                                 mc_inclusion_kcspip, report_to_dict,
                                 report_to_json, write_report_csv,
                                 write_report_json)
+from sparsepack.hypermatch import Hypergraph
 from sparsepack.kcspip import (KcsParams, exact_inclusion_probabilities,
                                instance_k)
 from sparsepack.lp import solve_packing_lp
@@ -261,6 +262,12 @@ def test_x_length_is_checked():
     inst = gen_gap_instance(2)
     with pytest.raises(ValidationError, match="length"):
         empirical_ratio(ExperimentSpec("kcspip", inst, 10, 0), x=[0.5])
+
+
+def test_hm_checks_the_hypergraph_when_x_is_given():
+    h = Hypergraph(m=2, edges=(((0, 7), 1.0), ((1, 1), -3.0)))
+    with pytest.raises(ValidationError, match="out of range"):
+        empirical_ratio(ExperimentSpec("hm", h, 10, 0), x=[0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,19 @@ def test_unattenuated_last_chance_beats_its_target():
     assert capped[1, 0] < raw[1, 0]
 
 
+def test_zero_target_chances_run_no_pool():
+    # At k = 3 the default T = 2 gives beta = (0.5, 0): chance 2 can add
+    # nothing, so it gets a zero keep row and no estimation pool.
+    inst = disjoint_instance(3, k=3)
+    sched = compute_schedule(default_chances(inst.k), inst.k)
+    assert sched.betas[-1] == 0.0
+    sampler = MultiChanceSampler(inst, [1.0] * 3, sched, trial_rng(8, 0),
+                                 sim_budget=2_000)
+    assert not np.isnan(sampler.probe_estimates[0]).any()
+    assert np.isnan(sampler.probe_estimates[-1]).all()
+    assert list(sampler.keeps[-1]) == [0.0] * 3
+
+
 def test_second_chance_holds_its_conditional_floor():
     # With the last chance unattenuated, the add rate of chance 2 must
     # be at least (x/k) alpha2 (1 - alpha1 x/k - beta1 - alpha2/2)
