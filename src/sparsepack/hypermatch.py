@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,25 @@ class Hypergraph:
     def n(self):
         return len(self.edges)
 
+    @cached_property
+    def validation(self):
+        """The structural check of `validate_hypergraph`, made once per
+        hypergraph: it is frozen, and every `HmRounder` asks again."""
+        v = []
+        if self.m < 1:
+            v.append(f"m={self.m} below 1")
+        for j, (vs, w) in enumerate(self.edges):
+            if not vs:
+                v.append(f"edge {j} is empty")
+            if len(set(vs)) != len(vs):
+                v.append(f"edge {j} repeats a vertex")
+            for u in vs:
+                if not (0 <= u < self.m):
+                    v.append(f"edge {j} vertex {u} out of range")
+            if not (w >= 0):
+                v.append(f"edge {j} weight {w} negative")
+        return ValidationReport(tuple(v))
+
 
 def make_hypergraph(m, edges):
     return Hypergraph(
@@ -48,20 +68,7 @@ def make_hypergraph(m, edges):
 
 
 def validate_hypergraph(h):
-    v = []
-    if h.m < 1:
-        v.append(f"m={h.m} below 1")
-    for j, (vs, w) in enumerate(h.edges):
-        if not vs:
-            v.append(f"edge {j} is empty")
-        if len(set(vs)) != len(vs):
-            v.append(f"edge {j} repeats a vertex")
-        for u in vs:
-            if not (0 <= u < h.m):
-                v.append(f"edge {j} vertex {u} out of range")
-        if not (w >= 0):
-            v.append(f"edge {j} weight {w} negative")
-    return ValidationReport(tuple(v))
+    return h.validation
 
 
 def require_valid_hypergraph(h):

@@ -1,4 +1,4 @@
-"""LP relaxations of packing programs, solved by a dense simplex.
+"""LP relaxations of packing programs, solved by a bounded-variable simplex.
 
 Two relaxations are used throughout:
 
@@ -12,8 +12,10 @@ two coincide when no coefficient exceeds 1/2.
 
 The solver is a from-scratch primal simplex on the slack form with
 Bland's anti-cycling rule, which also makes the returned vertex
-deterministic.  Box constraints x_j <= 1 enter as explicit rows, so the
-all-slack basis is feasible and no phase-1 is needed.  Desk-scale only.
+deterministic.  The box x_j <= 1 is a variable bound, met by bound
+flips rather than by rows, and the all-slack basis is feasible, so no
+phase-1 is needed.  Each pivot is one rank-1 update over the tableau
+rows where the entering column is nonzero.  Desk-scale only.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .core import FractionalSolution, require_valid
 from .errors import InternalInvariantError, UnboundedError
 
 PIVOT_TOL = 1e-9
+TIE_TOL = 1e-12   # ratios this close to the minimum tie
+BOX_TOL = 1e-7    # a solved x may leave [0, 1] or a row by this much
 
 
 def big_sets(inst):
@@ -36,12 +40,22 @@ def big_sets(inst):
     return {i: frozenset(s) for i, s in bigs.items()}
 
 
-def simplex_maximize(c, D, f):
-    """max c.x s.t. D x <= f, x >= 0, with f >= 0 componentwise.
+def simplex_maximize(c, D, f, upper=None):
+    """max c.x s.t. D x <= f, 0 <= x <= upper, with f >= 0 componentwise.
 
-    Returns (x, objective).  Bland's rule: entering variable is the
-    lowest-index column with positive reduced profit, leaving row is the
-    minimum-ratio row whose basic variable has the lowest index.
+    `upper` is one bound for every variable or one per variable; None
+    leaves x unbounded above.  Returns (x, objective) at an optimal
+    vertex.  x is not clipped, so it may sit float dust outside its
+    bounds.
+
+    A nonbasic variable at its upper bound u_j is complemented, x_j =
+    u_j - x'_j, so every nonbasic tableau variable sits at zero.
+    Bland's rule covers all three bound events: the lowest-index column
+    with positive reduced profit enters; among ratio ties, the row
+    whose basic variable has the lowest index leaves, whether that
+    variable falls to 0 or rises to its bound; and a tie with the
+    entering variable's own bound goes to the flip, which pivots
+    nothing.
     """
     c = np.asarray(c, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -49,49 +63,74 @@ def simplex_maximize(c, D, f):
     r, n = D.shape
     if np.any(f < 0):
         raise InternalInvariantError("simplex requires nonnegative rhs")
+    ub = np.full(n + r, np.inf)
+    if upper is not None:
+        ub[:n] = upper
+    if not np.all(ub >= 0):
+        raise InternalInvariantError("simplex requires nonnegative bounds")
 
-    # tableau rows: [D | I | f]; bottom row: [-c | 0 | 0]
+    # tableau rows: [D | I | f]; bottom row: [-c | 0 | 0].  A complemented
+    # variable's column is negated, and the last column holds the basic
+    # variables' values.
     T = np.zeros((r + 1, n + r + 1))
     T[:r, :n] = D
     T[:r, n : n + r] = np.eye(r)
     T[:r, -1] = f
     T[r, :n] = -c
-    basis = list(range(n, n + r))
+    basis = np.arange(n, n + r)
+    flipped = np.zeros(n + r, dtype=bool)
 
     max_iters = 50 * (n + r) + 1000
     for _ in range(max_iters):
-        reduced = T[r, : n + r]
-        candidates = np.nonzero(reduced < -PIVOT_TOL)[0]
+        candidates = np.flatnonzero(T[r, :-1] < -PIVOT_TOL)
         if candidates.size == 0:
             x = np.zeros(n + r)
             x[basis] = T[:r, -1]
-            xo = np.clip(x[:n], 0.0, None)
-            return xo, float(c @ xo)
+            x = np.where(flipped, ub - x, x)[:n]
+            return x, float(c @ x)
         enter = int(candidates[0])  # Bland: smallest index
-        col = T[:r, enter]
-        rows = np.nonzero(col > PIVOT_TOL)[0]
-        if rows.size == 0:
+        col, rhs = T[:r, enter], T[:r, -1]
+        # Raising the entering variable by t moves basic row i by -t col[i]:
+        # down to 0 where col > 0, up to its bound where col < 0.
+        down = col > PIVOT_TOL
+        up = (col < -PIVOT_TOL) & np.isfinite(ub[basis])
+        rows = np.flatnonzero(down | up)
+        ratios = (np.where(down[rows], rhs[rows], ub[basis[rows]] - rhs[rows])
+                  / np.abs(col[rows]))
+        best = min(ratios.min(initial=np.inf), ub[enter])
+        if best == np.inf:
             raise UnboundedError("LP unbounded along column %d" % enter)
-        ratios = T[rows, -1] / col[rows]
-        best = ratios.min()
-        tied = rows[ratios <= best + 1e-12]
-        leave = min(tied, key=lambda i: basis[i])  # Bland on basic index
-        piv = T[leave, enter]
-        T[leave, :] /= piv
-        for i in range(r + 1):
-            if i != leave and abs(T[i, enter]) > 0:
-                T[i, :] -= T[i, enter] * T[leave, :]
+        if ub[enter] <= best + TIE_TOL:
+            T[:, -1] -= ub[enter] * T[:, enter]
+            T[:, enter] *= -1.0
+            flipped[enter] ^= True
+            continue
+        tied = rows[ratios <= best + TIE_TOL]
+        leave = tied[np.argmin(basis[tied])]  # Bland on basic index
+        if not down[leave]:
+            # The leaving variable stops at its bound: complement it, which
+            # keeps its column a unit vector and makes the pivot positive.
+            out = basis[leave]
+            T[leave] *= -1.0
+            T[leave, out] = 1.0
+            T[leave, -1] += ub[out]
+            flipped[out] ^= True
+        T[leave] /= T[leave, enter]
+        nz = np.flatnonzero(T[:, enter])
+        nz = nz[nz != leave]
+        T[nz] -= np.outer(T[nz, enter], T[leave])
         basis[leave] = enter
     raise InternalInvariantError("simplex failed to converge")
 
 
 def build_relaxation(inst, strengthen):
-    """Assemble (c, D, f) for the chosen relaxation, box rows included."""
+    """Assemble (c, D, f) for the chosen relaxation; the box 0 <= x <= 1
+    is left to the solver's variable bounds."""
     n, m = inst.n, inst.m
     bigs = big_sets(inst) if strengthen else {}
     extra = [i for i in range(m) if strengthen and bigs[i]]
-    D = np.zeros((m + len(extra) + n, n))
-    f = np.zeros(m + len(extra) + n)
+    D = np.zeros((m + len(extra), n))
+    f = np.zeros(m + len(extra))
     for j, col in enumerate(inst.columns):
         for i, a in col:
             D[i, j] = a
@@ -100,9 +139,6 @@ def build_relaxation(inst, strengthen):
         for j in bigs[i]:
             D[m + r, j] = 1.0
         f[m + r] = 1.0
-    base = m + len(extra)
-    D[base : base + n, :] = np.eye(n)
-    f[base : base + n] = 1.0
     return np.asarray(inst.weights, dtype=float), D, f
 
 
@@ -114,10 +150,12 @@ def solve_packing_lp(inst, strengthen=True):
     """
     require_valid(inst)
     c, D, f = build_relaxation(inst, strengthen)
-    x, _ = simplex_maximize(c, D, f)
+    x, _ = simplex_maximize(c, D, f, upper=1.0)
+    if np.any(x < -BOX_TOL) or np.any(x > 1.0 + BOX_TOL):
+        raise InternalInvariantError("simplex returned a point outside [0, 1]")
     x = np.clip(x, 0.0, 1.0)
     slack = D @ x - f
-    if slack.max(initial=0.0) > 1e-7:
+    if slack.max(initial=0.0) > BOX_TOL:
         raise InternalInvariantError("simplex returned an infeasible point")
     return FractionalSolution(x=tuple(float(v) for v in x),
                               objective=float(c @ x))

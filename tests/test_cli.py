@@ -2,9 +2,13 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sparsepack
 import sparsepack.cli as cli
 from sparsepack.core import load_instance, save_instance
 from sparsepack.harness import CHUNK_TRIALS, gen_gap_instance
@@ -258,3 +262,17 @@ def test_optimize_ufp_command(capsys):
     rc, _, err = run(capsys, "optimize-ufp", "--grid", "0.5")
     assert rc == 1
     assert "grid_resolution" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    # The package must run as `python -m sparsepack` from a source tree,
+    # where no `sparsepack` script is installed.
+    src = os.path.dirname(os.path.dirname(sparsepack.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "sparsepack", "schedule", "-T", "3", "--k", "20"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["alphas"][0] == 1.0

@@ -52,6 +52,14 @@ def test_validate_hypergraph_flags_defects():
                validate_hypergraph(make_hypergraph(2, [((0,), -1.0)])).violations)
 
 
+def test_validation_runs_once_per_hypergraph():
+    # A frozen hypergraph is checked once, however many rounders it feeds.
+    h = make_hypergraph(2, [((0, 0), 1.0)])
+    assert validate_hypergraph(h) is validate_hypergraph(h)
+    with pytest.raises(ValidationError, match="repeats"):
+        round_matching(h, [0.5], attenuation_g, np.random.default_rng(0))
+
+
 def test_is_matching_and_weight():
     h = make_hypergraph(4, [((0, 1), 2.0), ((1, 2), 3.0), ((3,), 1.0)])
     assert is_matching(h, [0, 2])

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from sparsepack.core import make_instance, require_valid
-from sparsepack.errors import UnboundedError
-from sparsepack.harness import gen_gap_instance, gen_random_kcs
+from sparsepack.errors import InternalInvariantError, UnboundedError
+from sparsepack.harness import (gen_gap_instance, gen_random_hypergraph,
+                                gen_random_kcs, hypergraph_lp_instance)
 from sparsepack.lp import (big_sets, build_relaxation, simplex_maximize,
                            solve_packing_lp)
 
@@ -126,3 +127,74 @@ def test_solution_is_feasible_and_boxed():
         for i, a in col:
             load[i] += a * x[j]
     assert np.all(load <= np.asarray(inst.capacities) + 1e-7)
+
+
+@pytest.mark.parametrize("strengthen", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_bounded_simplex_matches_vertex_enumeration_with_box_rows(seed, strengthen):
+    # The box 0 <= x <= 1 handled as bounds must give the optimum of the
+    # same LP with the box written out as explicit rows.
+    inst = gen_random_kcs(n=4, m=3, k=2, seed=seed)
+    c, D, f = build_relaxation(inst, strengthen)
+    _, obj = simplex_maximize(c, D, f, upper=1.0)
+    boxed = vertex_enumeration_opt(c, np.vstack([D, np.eye(inst.n)]),
+                                   np.concatenate([f, np.ones(inst.n)]))
+    assert obj == pytest.approx(boxed, abs=1e-7)
+
+
+@pytest.mark.parametrize("c, D, f, upper, expected", [
+    # x0 reaches its bound before the row binds: one flip, then x1 pivots in
+    ([1.0, 1.0], [[1.0, 1.0]], [1.5], 1.0, [1.0, 0.5]),
+    # the row never binds: both optima are flips, no pivot at all
+    ([1.0, 2.0], [[1.0, 1.0]], [3.0], 1.0, [1.0, 1.0]),
+    # per-variable bounds
+    ([1.0, 1.0], [[1.0, 1.0]], [3.0], [0.5, 2.0], [0.5, 2.0]),
+])
+def test_bounded_simplex_optimum_by_bound_flips(c, D, f, upper, expected):
+    x, obj = simplex_maximize(c, D, f, upper=upper)
+    assert np.allclose(x, expected, atol=1e-12)
+    assert obj == pytest.approx(float(np.dot(c, expected)), abs=1e-12)
+
+
+def test_bounded_simplex_basic_variable_leaves_at_its_bound():
+    # max 2 x0 + x1 s.t. x0 - x1 <= 0.5, x0 + x1 <= 1.8, 0 <= x <= 1.
+    # x0 enters on row 0 at 0.5; raising x1 then lifts the basic x0, which
+    # leaves at its upper bound 1 before row 1 binds.  Optimum (1, 0.8).
+    x, obj = simplex_maximize([2.0, 1.0], [[1.0, -1.0], [1.0, 1.0]],
+                              [0.5, 1.8], upper=1.0)
+    assert np.allclose(x, [1.0, 0.8], atol=1e-12)
+    assert obj == pytest.approx(2.8, abs=1e-12)
+
+
+def test_bounded_simplex_without_bounds_detects_unbounded():
+    c, D, f = [1.0, 1.0], [[1.0, -1.0]], [1.0]
+    with pytest.raises(UnboundedError):
+        simplex_maximize(c, D, f, upper=None)
+    _, obj = simplex_maximize(c, D, f, upper=1.0)
+    assert obj == pytest.approx(2.0, abs=1e-12)
+
+
+def test_solve_packing_lp_rejects_a_point_outside_the_box(monkeypatch):
+    # x <= 1 is a bound, not a row of D, so the row check alone would miss
+    # a solver that overshoots it.
+    inst = gen_random_kcs(n=4, m=3, k=2, seed=0)
+    monkeypatch.setattr("sparsepack.lp.simplex_maximize",
+                        lambda c, D, f, upper=None: (np.full(len(c), 1.5), 0.0))
+    with pytest.raises(InternalInvariantError, match="outside"):
+        solve_packing_lp(inst)
+
+
+@pytest.mark.parametrize("case", ["kcs-strengthened", "kcs-plain", "hypergraph"])
+def test_objective_matches_highs(case):
+    optimize = pytest.importorskip("scipy.optimize")
+    if case == "hypergraph":
+        inst = hypergraph_lp_instance(gen_random_hypergraph(40, 90, 3, seed=5))
+    else:
+        inst = gen_random_kcs(n=60, m=30, k=4, seed=11)
+    strengthen = case == "kcs-strengthened"
+    c, D, f = build_relaxation(inst, strengthen)
+    highs = optimize.linprog(-c, A_ub=D, b_ub=f, bounds=(0.0, 1.0),
+                             method="highs")
+    assert highs.status == 0
+    sol = solve_packing_lp(inst, strengthen=strengthen)
+    assert sol.objective == pytest.approx(-highs.fun, rel=1e-9)
