@@ -33,10 +33,11 @@ from .harness import (ExperimentSpec, RoundingReport, brute_force_opt,
                       gen_sksp_instance, kcspip_ratio_trend,
                       mc_inclusion_kcspip, write_report_csv,
                       write_report_json)
-from .hypermatch import (Hypergraph, attenuation_g, is_matching,
-                         load_hypergraph, make_hypergraph, matching_weight,
-                         round_matching, round_matching_linear,
-                         save_hypergraph, theoretical_bound)
+from .hypermatch import (Hypergraph, attenuation_g, exact_match_probabilities,
+                         is_matching, load_hypergraph, make_hypergraph,
+                         matching_weight, round_matching,
+                         round_matching_linear, save_hypergraph,
+                         theoretical_bound)
 from .kcspip import (BknsRounder, KcsParams, KcsRounder,
                      build_conflict_digraph, classify, discard_blocked,
                      exact_inclusion_probabilities,

@@ -60,6 +60,44 @@ class PackingInstance:
         """For each item j, the tuple of rows it participates in."""
         return tuple(tuple(i for i, _ in col) for col in self.columns)
 
+    @cached_property
+    def validation(self):
+        """The structural check of `validate_instance`, made once per
+        instance: it is frozen, and every rounder asks again.
+
+        Checked: dimension consistency, row indices in range, no
+        duplicate row within a column, coefficients in (0, 1], weights
+        >= 0, capacities >= 1, and |C(j)| <= k when a sparsity k is
+        declared.
+        """
+        v = []
+        if self.n != len(self.columns):
+            v.append(f"n={self.n} but {len(self.columns)} columns")
+        if self.m != len(self.capacities):
+            v.append(f"m={self.m} but {len(self.capacities)} capacities")
+        if len(self.weights) != self.n:
+            v.append(f"{len(self.weights)} weights for n={self.n}")
+        for j, w in enumerate(self.weights):
+            if not (w >= 0.0):
+                v.append(f"weight[{j}]={w} negative")
+        for i, b in enumerate(self.capacities):
+            if not (b >= 1.0):
+                v.append(f"capacity[{i}]={b} below 1")
+        for j, col in enumerate(self.columns):
+            rows = [i for i, _ in col]
+            if len(set(rows)) != len(rows):
+                v.append(f"column {j} repeats a row")
+            for i, a in col:
+                if not (0 <= i < self.m):
+                    v.append(f"column {j} row index {i} out of range")
+                if not (0.0 < a <= 1.0):
+                    v.append(f"a[{i},{j}]={a} outside (0,1]")
+            if self.k is not None and len(col) > self.k:
+                v.append(f"column {j} has {len(col)} rows, declared k={self.k}")
+        if self.k is not None and self.k < 1:
+            v.append(f"declared k={self.k} below 1")
+        return ValidationReport(tuple(v))
+
     def coefficient(self, i, j):
         """a_ij, or 0.0 when item j does not touch row i."""
         for r, a in self.columns[j]:
@@ -99,39 +137,9 @@ class ValidationReport:
 
 
 def validate_instance(inst):
-    """Structural checks; returns a report rather than raising.
-
-    Checked: dimension consistency, row indices in range, no duplicate
-    row within a column, coefficients in (0, 1], weights >= 0,
-    capacities >= 1, and |C(j)| <= k when a sparsity k is declared.
-    """
-    v = []
-    if inst.n != len(inst.columns):
-        v.append(f"n={inst.n} but {len(inst.columns)} columns")
-    if inst.m != len(inst.capacities):
-        v.append(f"m={inst.m} but {len(inst.capacities)} capacities")
-    if len(inst.weights) != inst.n:
-        v.append(f"{len(inst.weights)} weights for n={inst.n}")
-    for j, w in enumerate(inst.weights):
-        if not (w >= 0.0):
-            v.append(f"weight[{j}]={w} negative")
-    for i, b in enumerate(inst.capacities):
-        if not (b >= 1.0):
-            v.append(f"capacity[{i}]={b} below 1")
-    for j, col in enumerate(inst.columns):
-        rows = [i for i, _ in col]
-        if len(set(rows)) != len(rows):
-            v.append(f"column {j} repeats a row")
-        for i, a in col:
-            if not (0 <= i < inst.m):
-                v.append(f"column {j} row index {i} out of range")
-            if not (0.0 < a <= 1.0):
-                v.append(f"a[{i},{j}]={a} outside (0,1]")
-        if inst.k is not None and len(col) > inst.k:
-            v.append(f"column {j} has {len(col)} rows, declared k={inst.k}")
-    if inst.k is not None and inst.k < 1:
-        v.append(f"declared k={inst.k} below 1")
-    return ValidationReport(tuple(v))
+    """Structural checks; returns a report rather than raising.  The
+    check runs once per instance (`PackingInstance.validation`)."""
+    return inst.validation
 
 
 def require_clean(validate, obj):

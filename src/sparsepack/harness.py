@@ -221,8 +221,9 @@ def brute_force_opt(inst, size_cap=BRUTE_FORCE_CAP):
 
 @dataclass(frozen=True)
 class ItemReport:
-    """One row of the comparison table.  ratio is None when the floor
-    is zero (an item the fractional solution never uses)."""
+    """One row of the comparison table.  ratio is a Python float, or
+    None when the floor is zero (an item the fractional solution never
+    uses)."""
 
     index: int
     x: float
@@ -416,7 +417,8 @@ def _run_chunks(payload):
     alg, runner, instance, n_items, seed, trials, chunk_ids = payload
     scheme = SCHEMES[alg]
     evaluate = scheme.evaluate
-    counts = np.zeros(n_items, dtype=np.int64)
+    # A list takes `+= 1` about 5x faster than a numpy array does.
+    tally = [0] * n_items
     violations = 0
     flagged = []
     obj_parts = []
@@ -429,7 +431,7 @@ def _run_chunks(payload):
         for t in range(lo, hi):
             chosen, weight, ok = evaluate(instance, runner.trial(rng))
             for j in chosen:
-                counts[j] += 1
+                tally[j] += 1
             obj_sum += weight
             obj_sq += weight * weight
             if not ok:
@@ -437,7 +439,7 @@ def _run_chunks(payload):
                 if len(flagged) < 10:
                     flagged.append((c, t - lo))
         obj_parts.append((c, obj_sum, obj_sq))
-    return counts, violations, obj_parts, flagged
+    return np.array(tally, dtype=np.int64), violations, obj_parts, flagged
 
 
 def empirical_ratio(spec, x=None):
@@ -503,7 +505,7 @@ def empirical_ratio(spec, x=None):
     items = []
     ratios = []
     for j in range(n_items):
-        freq = counts[j] / trials
+        freq = int(counts[j]) / trials
         floor = floors[j]
         ratio = freq / floor if floor > 0.0 else None
         if ratio is not None:
@@ -511,8 +513,8 @@ def empirical_ratio(spec, x=None):
         items.append(ItemReport(
             index=j,
             x=x[j],
-            frequency=float(freq),
-            std_err=binomial_stderr(float(freq), trials),
+            frequency=freq,
+            std_err=binomial_stderr(freq, trials),
             floor=float(floor),
             ratio=ratio,
         ))

@@ -15,10 +15,13 @@ per-edge guarantee relative to x_e is
 
 where k_e counts the vertices of e (`theoretical_bound`).  The linear
 variant g(x) = alpha x is also provided for comparison.
+`exact_match_probabilities` gives the exact per-edge matching
+probabilities on hypergraphs of at most EXACT_EDGE_CAP edges.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +29,9 @@ from functools import cached_property
 import numpy as np
 
 from .core import ValidationReport, read_json, require_clean, write_json
-from .errors import DomainError, ValidationError
+from .errors import DomainError, SizeError, ValidationError
+
+EXACT_EDGE_CAP = 7
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,16 @@ class Hypergraph:
                 v.append(f"edge {j} weight {w} negative")
         return ValidationReport(tuple(v))
 
+    @cached_property
+    def vertex_array(self):
+        """(n, max edge size) int array of each edge's vertices, padded
+        with the sentinel m; the sweep's clash count reads it."""
+        width = max((len(vs) for vs, _ in self.edges), default=0)
+        rows = np.full((self.n, width), self.m, dtype=np.intp)
+        for j, (vs, _) in enumerate(self.edges):
+            rows[j, :len(vs)] = vs
+        return rows
+
 
 def make_hypergraph(m, edges):
     return Hypergraph(
@@ -90,26 +105,36 @@ def theoretical_bound(k_e):
 
 
 def is_matching(h, edge_ids):
-    seen = set()
-    for j in edge_ids:
-        vs = h.edges[j][0]
-        if any(u in seen for u in vs):
-            return False
-        seen.update(vs)
-    return True
+    """True iff the edges are pairwise disjoint: their vertex union has
+    as many elements as their sizes sum to (a repeated edge fails)."""
+    vertex_sets = [h.edges[j][0] for j in edge_ids]
+    return len(set().union(*vertex_sets)) == sum(map(len, vertex_sets))
 
 
 def _sweep(h, marked, keys):
-    """Greedy pass over marked edges by (key, edge index)."""
-    order = sorted(zip(keys, marked))
+    """Greedy pass over marked edges by (key, edge index).
+
+    A marked edge that shares no vertex with another marked edge is
+    accepted whatever the order, so the greedy loop walks only the
+    clashing ones.  The result is built in key order, as the full sweep
+    would add the edges."""
+    if len(marked) < 2:
+        return frozenset(marked)
+    marked = np.asarray(marked, dtype=np.intp)
+    order = marked[np.lexsort((marked, keys))]
+    rows = h.vertex_array[order]
+    hits = np.bincount(rows.ravel(), minlength=h.m + 1)
+    hits[h.m] = 0
+    clash = (hits[rows] > 1).any(axis=1)
+    accept = ~clash
+    edges = h.edges
     matched_vertices = set()
-    picked = []
-    for _, j in order:
-        vs = h.edges[j][0]
-        if all(u not in matched_vertices for u in vs):
-            picked.append(j)
+    for i in np.flatnonzero(clash).tolist():
+        vs = edges[order[i]][0]
+        if matched_vertices.isdisjoint(vs):
+            accept[i] = True
             matched_vertices.update(vs)
-    return frozenset(picked)
+    return frozenset(order[accept].tolist())
 
 
 class HmRounder:
@@ -124,11 +149,11 @@ class HmRounder:
         x = np.asarray(x, dtype=float)
         if x.shape != (h.n,):
             raise ValidationError(f"x has shape {x.shape}, expected ({h.n},)")
-        rates = np.array([g(v) for v in x])
-        if np.any(rates < 0) or np.any(rates > 1):
+        rates = [g(v) for v in x.tolist()]
+        if not all(0.0 <= r <= 1.0 for r in rates):
             raise DomainError("mark rates outside [0,1]")
         self.h = h
-        self.rates = rates
+        self.rates = np.array(rates)
 
     def trial(self, rng):
         """Mark with probability g(x_e), sweep by uniform keys (drawn only
@@ -149,6 +174,34 @@ def round_matching_linear(h, x, alpha, rng):
     if alpha < 0:
         raise DomainError(f"alpha={alpha} negative")
     return round_matching(h, x, lambda v: min(1.0, alpha * v), rng)
+
+
+def exact_match_probabilities(h, x, g):
+    """Exact Pr[e matched] for every edge, as a float array.
+
+    A mark set M has weight prod_{e in M} g(x_e) prod_{e not in M}
+    (1 - g(x_e)), and its edges' keys are distinct almost surely, so
+    each of the |M|! orders comes with equal chance.  The greedy pass
+    runs over every (mark set, order) pair: 13,700 of them at
+    EXACT_EDGE_CAP = 7 edges, which is the limit.
+    """
+    if h.n > EXACT_EDGE_CAP:
+        raise SizeError(f"{h.n} edges exceed the exact cap {EXACT_EDGE_CAP}")
+    rates = HmRounder(h, x, g).rates.tolist()
+    p = [0.0] * h.n
+    for mask in range(1 << h.n):
+        marked = [j for j in range(h.n) if mask >> j & 1]
+        weight = math.prod(r if mask >> j & 1 else 1.0 - r
+                           for j, r in enumerate(rates))
+        share = weight / math.factorial(len(marked))
+        for order in itertools.permutations(marked):
+            taken = set()
+            for j in order:
+                vs = h.edges[j][0]
+                if taken.isdisjoint(vs):
+                    taken.update(vs)
+                    p[j] += share
+    return np.array(p)
 
 
 def matching_weight(h, edge_ids):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from sparsepack import core
 from sparsepack.core import (FEAS_TOL, check_feasible, column_sparsity,
                              instance_from_dict, instance_to_dict,
                              load_instance, make_instance, objective_value,
@@ -53,6 +54,19 @@ def test_require_valid_raises_with_message():
     inst = make_instance([0.5], [1.0], [[(0, 1.0)]])
     with pytest.raises(ValidationError, match="below 1"):
         require_valid(inst)
+
+
+def test_validation_runs_once_per_instance(monkeypatch):
+    inst = make_instance([0.5], [1.0], [[(0, 1.0)]])
+    assert validate_instance(inst) is validate_instance(inst)
+    # require_valid looks validate_instance up at call time, so a wrapper
+    # put on the module sees every check.
+    seen = []
+    monkeypatch.setattr(core, "validate_instance",
+                        lambda i: seen.append(i) or i.validation)
+    with pytest.raises(ValidationError, match="below 1"):
+        require_valid(inst)
+    assert seen == [inst]
 
 
 def test_row_members_inverts_columns(tiny_instance):

@@ -308,6 +308,28 @@ def test_report_csv_fields(tmp_path):
     assert float(first[1]) == report.items[0].x
 
 
+@pytest.mark.parametrize("alg, instance", [
+    ("kcspip", gen_gap_instance(2)),
+    ("hm", gen_random_hypergraph(8, 10, 3, seed=8)),
+])
+def test_report_csv_cells_parse_as_numbers(alg, instance, tmp_path):
+    # Every cell reads back with float(); only a ratio cell may be empty.
+    report = empirical_ratio(ExperimentSpec(alg, instance, 512, seed=2))
+    path = tmp_path / "report.csv"
+    write_report_csv(report, path)
+    rows = path.read_text().strip().splitlines()[1:]
+    assert len(rows) == len(report.items)
+    for row, it in zip(rows, report.items):
+        cells = row.split(",")
+        assert [float(c) for c in cells[:5]] == [
+            it.index, it.x, it.frequency, it.std_err, it.floor]
+        if it.ratio is None:
+            assert cells[5] == ""
+        else:
+            assert float(cells[5]) == it.ratio
+    assert type(report.min_ratio) is float
+
+
 def test_format_report_is_printable():
     text = format_report(make_report())
     assert "algorithm=kcspip" in text

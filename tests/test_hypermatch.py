@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
-from sparsepack.errors import DomainError, ValidationError
-from sparsepack.hypermatch import (attenuation_g, hypergraph_from_dict,
-                                   hypergraph_to_dict, is_matching,
-                                   load_hypergraph, make_hypergraph,
-                                   matching_weight, round_matching,
-                                   round_matching_linear, save_hypergraph,
-                                   theoretical_bound, validate_hypergraph)
+from sparsepack.errors import DomainError, SizeError, ValidationError
+from sparsepack.hypermatch import (EXACT_EDGE_CAP, HmRounder, attenuation_g,
+                                   exact_match_probabilities,
+                                   hypergraph_from_dict, hypergraph_to_dict,
+                                   is_matching, load_hypergraph,
+                                   make_hypergraph, matching_weight,
+                                   round_matching, round_matching_linear,
+                                   save_hypergraph, theoretical_bound,
+                                   validate_hypergraph)
 from sparsepack.hypermatch import _sweep
 from sparsepack.montecarlo import binomial_stderr, trial_rng
 
@@ -75,6 +78,20 @@ def test_sweep_orders_by_key_then_index():
     assert _sweep(h, [0, 1], [0.5, 0.5]) == frozenset({0})
     # disjoint edges are both picked
     assert _sweep(h, [1, 2], [0.7, 0.2]) == frozenset({1, 2})
+
+
+def test_sweep_builds_its_set_in_key_order():
+    # 0 and 8 share a slot of a small set's table, so the set iterates in
+    # insertion order, and so does a float sum over it.
+    h = make_hypergraph(9, [((v,), 1.0) for v in range(9)])
+    got = _sweep(h, [0, 8], [0.9, 0.1])
+    assert list(got) == list(frozenset([8, 0])) != list(frozenset([0, 8]))
+
+
+def test_sweep_of_no_marked_edges_is_empty():
+    h = make_hypergraph(2, [((0, 1), 1.0)])
+    assert _sweep(h, [], []) == frozenset()
+    assert _sweep(h, [0], [0.3]) == frozenset({0})
 
 
 def test_round_matching_validates():
@@ -149,3 +166,76 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text('{"m": 3}')
     with pytest.raises(ValidationError, match="malformed"):
         load_hypergraph(path)
+
+
+# ---------------------------------------------------------------------------
+# The exact oracle
+
+TINY = {
+    "star": (make_hypergraph(7, [((0, 1, 2), 1.0), ((0, 3), 1.0),
+                                 ((0, 4, 5), 1.0), ((0, 6), 1.0)]),
+             [0.25] * 4),
+    "path": (make_hypergraph(6, [((i, i + 1), 1.0) for i in range(5)]),
+             [0.5, 0.5, 0.5, 0.5, 0.5]),
+    "triples": (make_hypergraph(6, [((0, 1, 2), 1.0), ((1, 2, 3), 1.0),
+                                    ((2, 3, 4), 1.0), ((3, 4, 5), 1.0),
+                                    ((0, 4, 5), 1.0)]),
+                [0.3, 0.3, 0.3, 0.2, 0.7]),
+}
+
+
+def contention_floor(h, x, e):
+    """g(x_e) * int_0^1 prod_{f ~ e} (1 - g(x_f) u) du: e is matched
+    whenever it is marked and no marked neighbour has a smaller key."""
+    g = [attenuation_g(v) for v in x]
+    poly = Polynomial([1.0])
+    for f, (vs, _) in enumerate(h.edges):
+        if f != e and not set(vs).isdisjoint(h.edges[e][0]):
+            poly *= Polynomial([1.0, -g[f]])
+    integral = poly.integ()
+    return g[e] * (integral(1.0) - integral(0.0))
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_exact_probabilities_lie_between_contention_floor_and_mark_rate(name):
+    h, x = TINY[name]
+    p = exact_match_probabilities(h, x, attenuation_g)
+    for e, v in enumerate(x):
+        assert contention_floor(h, x, e) - 1e-12 <= p[e] <= attenuation_g(v) + 1e-12
+
+
+def test_exact_probabilities_of_two_contending_edges():
+    # Both marked: each wins the shared vertex half the time.
+    h = make_hypergraph(3, [((0, 1), 1.0), ((1, 2), 1.0)])
+    x = [0.8, 0.4]
+    g1, g2 = attenuation_g(0.8), attenuation_g(0.4)
+    p = exact_match_probabilities(h, x, attenuation_g)
+    assert p[0] == pytest.approx(g1 * (1 - g2) + g1 * g2 / 2, abs=1e-15)
+    assert p[1] == pytest.approx(g2 * (1 - g1) + g1 * g2 / 2, abs=1e-15)
+
+
+def test_exact_oracle_size_cap():
+    edges = [((i, i + 1), 1.0) for i in range(EXACT_EDGE_CAP + 1)]
+    h = make_hypergraph(EXACT_EDGE_CAP + 2, edges)
+    x = [0.5] * (EXACT_EDGE_CAP + 1)
+    with pytest.raises(SizeError):
+        exact_match_probabilities(h, x, attenuation_g)
+    h7 = make_hypergraph(EXACT_EDGE_CAP + 1, edges[:-1])
+    p = exact_match_probabilities(h7, x[:-1], attenuation_g)
+    assert p[0] == p[-1] and p[1] == p[-2]   # the path is symmetric
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_rounder_frequencies_match_the_exact_oracle(name):
+    h, x = TINY[name]
+    p = exact_match_probabilities(h, x, attenuation_g)
+    rounder = HmRounder(h, x, attenuation_g)
+    rng = trial_rng(11, 0, module=4)
+    trials = 200_000
+    hits = [0] * h.n
+    for _ in range(trials):
+        for e in rounder.trial(rng):
+            hits[e] += 1
+    for e in range(h.n):
+        sigma = binomial_stderr(p[e], trials)
+        assert abs(hits[e] / trials - p[e]) <= 5 * sigma, (e, hits[e], p[e])
