@@ -35,25 +35,22 @@ from .harness import (ExperimentSpec, RoundingReport, brute_force_opt,
                       write_report_json)
 from .hypermatch import (Hypergraph, attenuation_g, exact_match_probabilities,
                          is_matching, load_hypergraph, make_hypergraph,
-                         matching_weight, round_matching,
-                         round_matching_linear, save_hypergraph,
+                         matching_weight, round_matching, save_hypergraph,
                          theoretical_bound)
 from .kcspip import (BknsRounder, KcsParams, KcsRounder,
-                     build_conflict_digraph, classify, discard_blocked,
+                     build_conflict_digraph, discard_blocked,
                      exact_inclusion_probabilities,
-                     exact_pairwise_probabilities, instance_k, round_bkns,
-                     round_kcspip, sample_probabilities, sample_r0)
+                     exact_pairwise_probabilities, instance_k,
+                     sample_probabilities)
 from .lp import simplex_maximize, solve_packing_lp
 from .montecarlo import (EstimationSpec, attenuation_keep_prob,
-                         binomial_stderr, estimate_event, required_samples,
-                         trial_rng)
+                         binomial_stderr, required_samples, trial_rng)
 from .sksp import (ChanceSchedule, MultiChanceSampler, SkspInstance,
                    StochasticItem, compute_schedule, default_chances,
                    expected_size_instance, ideal_gamma, load_sksp, make_item,
-                   probe_run_single, run_multichance, save_sksp,
-                   solve_sksp_lp)
+                   save_sksp, solve_sksp_lp)
 from .ufptree import (TreeNetwork, UfpCrScheme, UfpParams, balance_objective,
-                      cr_round, load_tree, make_tree, optimize_alpha,
-                      save_tree, tree_path)
+                      load_tree, make_tree, optimize_alpha, save_tree,
+                      tree_path)
 
 __version__ = "0.1.0"

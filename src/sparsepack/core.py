@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -47,18 +46,11 @@ class PackingInstance:
     k: int | None = None
 
     @cached_property
-    def row_members(self):
-        """For each row i, the tuple of (item, coefficient) pairs on it."""
-        members = [[] for _ in range(self.m)]
-        for j, col in enumerate(self.columns):
-            for i, a in col:
-                members[i].append((j, a))
-        return tuple(tuple(ms) for ms in members)
-
-    @cached_property
-    def column_rows(self):
-        """For each item j, the tuple of rows it participates in."""
-        return tuple(tuple(i for i, _ in col) for col in self.columns)
+    def big_rows(self):
+        """For each item j, the rows i on which it is big (a_ij > 1/2),
+        in column order.  This is the one place the 1/2 threshold is
+        applied."""
+        return tuple(tuple(i for i, a in col if a > 0.5) for col in self.columns)
 
     @cached_property
     def validation(self):

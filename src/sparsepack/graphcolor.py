@@ -105,46 +105,14 @@ def _check_degree(g, d):
         raise DegreeError(f"out-degree above {d} at vertices {bad[:5]}")
 
 
-def color_directed_graph(g, d):
-    """Deterministic proper coloring with at most 2d+1 colors.
-
-    Requires max out-degree <= d (DegreeError otherwise).  Colors are
-    assigned in reverse peel order, each vertex taking the smallest
-    color unused by its already-colored neighbors.
+def _greedy_color(g, d, palette, spread, rng):
+    """Color in reverse peel order.  Each vertex takes the smallest color
+    unused by its already-colored neighbors when rng is None, else a
+    uniform draw among the `spread` smallest.  Requires max out-degree
+    <= d (DegreeError otherwise); the degree argument guarantees that
+    many free colors, so a shortfall is a broken invariant and raises.
     """
     _check_degree(g, d)
-    palette = 2 * d + 1
-    adj = g.undirected_adjacency()
-    colors = [-1] * g.n
-    for v in reversed(peel_order(g)):
-        used = {colors[u] for u in adj[v] if colors[u] >= 0}
-        for c in range(palette):
-            if c not in used:
-                colors[v] = c
-                break
-        else:
-            raise InternalInvariantError("palette exhausted; degree bound broken")
-    return Coloring(colors=tuple(colors), palette=palette)
-
-
-def neg_corr_palette(d, epsilon):
-    """(palette size, per-step choice count) for the randomized coloring."""
-    spread = d ** (1.0 - epsilon)
-    return math.ceil(2 * d + spread), math.ceil(spread)
-
-
-def color_neg_corr(g, d, epsilon, rng):
-    """Randomized proper coloring with near-independent color classes.
-
-    Palette has ceil(2d + d^(1-eps)) colors; each vertex picks uniformly
-    among the ceil(d^(1-eps)) smallest colors unused by its
-    already-colored neighbors.  The degree argument guarantees that many
-    colors are always free; a shortfall is a broken invariant and raises.
-    """
-    if not (0.0 < epsilon < 1.0):
-        raise ValidationError(f"epsilon={epsilon} outside (0,1)")
-    _check_degree(g, d)
-    palette, spread = neg_corr_palette(d, epsilon)
     adj = g.undirected_adjacency()
     colors = [-1] * g.n
     for v in reversed(peel_order(g)):
@@ -159,8 +127,33 @@ def color_neg_corr(g, d, epsilon, rng):
             raise InternalInvariantError(
                 f"only {len(avail)} free colors at vertex {v}, need {spread}"
             )
-        colors[v] = avail[int(rng.integers(spread))]
+        colors[v] = avail[0] if rng is None else avail[int(rng.integers(spread))]
     return Coloring(colors=tuple(colors), palette=palette)
+
+
+def color_directed_graph(g, d):
+    """Deterministic proper coloring with at most 2d+1 colors: each vertex
+    takes the smallest free color."""
+    return _greedy_color(g, d, 2 * d + 1, 1, None)
+
+
+def neg_corr_palette(d, epsilon):
+    """(palette size, per-step choice count) for the randomized coloring."""
+    spread = d ** (1.0 - epsilon)
+    return math.ceil(2 * d + spread), math.ceil(spread)
+
+
+def color_neg_corr(g, d, epsilon, rng):
+    """Randomized proper coloring with near-independent color classes.
+
+    Palette has ceil(2d + d^(1-eps)) colors; each vertex picks uniformly
+    among the ceil(d^(1-eps)) smallest colors unused by its
+    already-colored neighbors.
+    """
+    if not (0.0 < epsilon < 1.0):
+        raise ValidationError(f"epsilon={epsilon} outside (0,1)")
+    palette, spread = neg_corr_palette(d, epsilon)
+    return _greedy_color(g, d, palette, spread, rng)
 
 
 def verify_coloring(g, coloring):

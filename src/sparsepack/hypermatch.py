@@ -8,13 +8,14 @@ still unmatched.  The concave mark rate
 
     g(x) = x (1 - x/2)
 
-trades a little mass on heavy edges for much better survival, and the
-per-edge guarantee relative to x_e is
+trades a little mass on heavy edges for much better survival.  The
+paper's bound relative to x_e is
 
     (1 - exp(-k_e)) / k_e
 
-where k_e counts the vertices of e (`theoretical_bound`).  The linear
-variant g(x) = alpha x is also provided for comparison.
+where k_e counts the vertices of e (`theoretical_bound`).  It is not a
+per-edge guarantee at this mark rate: it fails near x_e = 1, where a lone
+edge with x_e = 1 is matched with probability g(1) = 1/2 < 1 - 1/e.
 `exact_match_probabilities` gives the exact per-edge matching
 probabilities on hypergraphs of at most EXACT_EDGE_CAP edges.
 """
@@ -98,7 +99,8 @@ def attenuation_g(x):
 
 
 def theoretical_bound(k_e):
-    """Per-edge floor (1 - e^{-k_e})/k_e for an edge on k_e vertices."""
+    """The paper's bound (1 - e^{-k_e})/k_e for an edge on k_e vertices;
+    not a per-edge floor near x_e = 1 (see the module docstring)."""
     if k_e < 1:
         raise DomainError(f"k_e={k_e} below 1")
     return (1.0 - math.exp(-float(k_e))) / float(k_e)
@@ -167,13 +169,6 @@ class HmRounder:
 def round_matching(h, x, g, rng):
     """One randomized matching at mark rates g(x_e)."""
     return HmRounder(h, x, g).trial(rng)
-
-
-def round_matching_linear(h, x, alpha, rng):
-    """Linear mark rate min(1, alpha x_e)."""
-    if alpha < 0:
-        raise DomainError(f"alpha={alpha} negative")
-    return round_matching(h, x, lambda v: min(1.0, alpha * v), rng)
 
 
 def exact_match_probabilities(h, x, g):

@@ -32,9 +32,13 @@ The color-class output makes feasibility unconditional: a color class
 never contains both endpoints of an arc, medium items appear at most
 two per row, and a surviving tiny item certifies its whole row fits.
 
-`round_bkns` is the simpler baseline: same sampling and discard step,
+`BknsRounder` is the simpler baseline: same sampling and discard step,
 then items with a big blocking event with respect to the survivor set
 are removed deterministically instead of the digraph machinery.
+
+The classes are decided once: `PackingInstance.big_rows` holds each
+item's big rows, and `_soft_entries`, built once per rounder, each
+item's medium and tiny entries.
 """
 
 from __future__ import annotations
@@ -42,8 +46,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -66,12 +68,6 @@ from .graphcolor import (
 
 EXACT_MARGINAL_CAP = 16
 EXACT_PAIRWISE_CAP = 10
-
-
-class CoefficientClass(Enum):
-    BIG = "big"
-    MEDIUM = "medium"
-    TINY = "tiny"
 
 
 @dataclass(frozen=True)
@@ -119,23 +115,6 @@ class KcsParams:
         return neg_corr_palette(self.d, self.epsilon)[0]
 
 
-def classify(inst, ell):
-    """Map every nonzero (row, item) entry to its coefficient class."""
-    if ell < 3:
-        raise ParamError(f"ell={ell} below 3")
-    lo = 1.0 / ell
-    out = {}
-    for j, col in enumerate(inst.columns):
-        for i, a in col:
-            if a > 0.5:
-                out[(i, j)] = CoefficientClass.BIG
-            elif a >= lo:
-                out[(i, j)] = CoefficientClass.MEDIUM
-            else:
-                out[(i, j)] = CoefficientClass.TINY
-    return out
-
-
 def instance_k(inst):
     """Declared sparsity if present, else the measured one, at least 1."""
     k = inst.k if inst.k is not None else column_sparsity(inst)
@@ -152,57 +131,44 @@ def sample_probabilities(inst, x, params):
     return np.minimum(1.0, params.alpha * np.clip(x, 0.0, 1.0) / k)
 
 
-def sample_r0(inst, x, params, rng):
+def _sample(p, rng):
     """One independent Bernoulli draw of the initial set: item j enters
-    with probability min(1, alpha x_j / k)."""
-    p = sample_probabilities(inst, x, params)
-    return frozenset(np.nonzero(rng.random(inst.n) < p)[0].tolist())
+    with probability p_j."""
+    return frozenset(np.nonzero(rng.random(p.size) < p)[0].tolist())
 
 
-class _RowPrep:
-    """Per-row class rosters for one (instance, ell) pair."""
-
-    __slots__ = ("med", "tiny", "big")
-
-    def __init__(self, inst, ell):
-        lo = 1.0 / ell
-        self.med = [set() for _ in range(inst.m)]
-        self.tiny = [set() for _ in range(inst.m)]
-        self.big = [set() for _ in range(inst.m)]
-        for j, col in enumerate(inst.columns):
-            for i, a in col:
-                if a > 0.5:
-                    self.big[i].add(j)
-                elif a >= lo:
-                    self.med[i].add(j)
-                else:
-                    self.tiny[i].add(j)
+def _soft_entries(inst, ell):
+    """For each item, its medium and tiny entries as (row, a, medium)
+    triples in column order, medium meaning a >= 1/ell; entries on the
+    item's big rows are left out.  This is the one place the 1/ell
+    threshold is applied."""
+    if ell < 3:
+        raise ParamError(f"ell={ell} below 3")
+    lo = 1.0 / ell
+    return tuple(
+        tuple((i, a, a >= lo) for i, a in col if i not in big)
+        for col, big in zip(inst.columns, inst.big_rows)
+    )
 
 
-def _discard(inst, prep, sampled):
+def _discard(soft, sampled):
     """Survivors of the simultaneous medium/tiny discard step."""
     med_count = {}
     soft_load = {}
     for j in sampled:
-        for i, a in inst.columns[j]:
-            if j in prep.big[i]:
-                continue
-            med_count[i] = med_count.get(i, 0) + (j in prep.med[i])
+        for i, a, medium in soft[j]:
+            med_count[i] = med_count.get(i, 0) + medium
             soft_load[i] = soft_load.get(i, 0.0) + a
     survivors = set()
     for j in sampled:
-        blocked = False
-        for i, _ in inst.columns[j]:
-            if j in prep.med[i]:
-                if med_count.get(i, 0) >= 3:
-                    blocked = True
+        for i, _, medium in soft[j]:
+            if medium:
+                if med_count[i] >= 3:
                     break
-            elif j in prep.tiny[i]:
-                # sum_{j' != j} a_ij' > 1 - a_ij  <=>  row soft load > 1
-                if med_count.get(i, 0) >= 2 or soft_load.get(i, 0.0) > 1.0:
-                    blocked = True
-                    break
-        if not blocked:
+            # sum_{j' != j} a_ij' > 1 - a_ij  <=>  row soft load > 1
+            elif med_count[i] >= 2 or soft_load[i] > 1.0:
+                break
+        else:
             survivors.add(j)
     return frozenset(survivors)
 
@@ -217,23 +183,28 @@ def discard_blocked(inst, sampled, ell):
     for j in sampled:
         if not (0 <= j < inst.n):
             raise ValidationError(f"item {j} out of range")
-    return _discard(inst, _RowPrep(inst, ell), sampled)
+    return _discard(_soft_entries(inst, ell), sampled)
 
 
-def _big_blocked(inst, prep, survivors):
-    """Items of `survivors` blocked by another big survivor on a shared row."""
+def _bigs_by_row(inst, items):
+    """Row -> the members of `items` that are big on it, in the order
+    `items` lists them."""
     big_in = {}
-    for j in survivors:
-        for i, _ in inst.columns[j]:
-            if j in prep.big[i]:
-                big_in.setdefault(i, []).append(j)
+    big_rows = inst.big_rows
+    for j in items:
+        for i in big_rows[j]:
+            big_in.setdefault(i, []).append(j)
+    return big_in
+
+
+def _big_blocked(inst, survivors):
+    """Items of `survivors` blocked by another big survivor on a shared row."""
+    big_in = _bigs_by_row(inst, survivors)
     blocked = set()
     for j in survivors:
         for i, _ in inst.columns[j]:
             bigs = big_in.get(i)
-            if not bigs:
-                continue
-            if len(bigs) >= 2 or bigs[0] != j:
+            if bigs and (len(bigs) >= 2 or bigs[0] != j):
                 blocked.add(j)
                 break
     return frozenset(blocked)
@@ -245,12 +216,8 @@ def build_conflict_digraph(inst, survivors):
     surviving item."""
     items = sorted(survivors)
     index = {j: t for t, j in enumerate(items)}
+    big_in = _bigs_by_row(inst, items)
     arcs = []
-    big_in = {}
-    for j in items:
-        for i, a in inst.columns[j]:
-            if a > 0.5:
-                big_in.setdefault(i, []).append(j)
     for j in items:
         hit = set()
         for i, _ in inst.columns[j]:
@@ -284,57 +251,56 @@ class KcsRounder:
         self.inst = inst
         self.params = params
         self.p = sample_probabilities(inst, x, params)
-        self.prep = _RowPrep(inst, params.ell)
+        self.soft = _soft_entries(inst, params.ell)
         self.palette = params.palette_size()
 
     def survivors(self, sampled):
         """Deterministic mid-pipeline: discard, conflict digraph, anomaly
         removal.  Returns (surviving item ids, induced digraph)."""
-        r1 = _discard(self.inst, self.prep, sampled)
+        r1 = _discard(self.soft, sampled)
         items = sorted(r1)
         g = build_conflict_digraph(self.inst, r1)
         kept = remove_anomalous(g, self.params.d)
         sub, keep = _induced(g, kept)
         return [items[v] for v in keep], sub
 
+    def _color(self, sub, rng=None):
+        """The coloring step: deterministic, or drawn from `rng` on the
+        spread palette when epsilon is set and an rng is given.  The
+        pipeline guarantees the degree bound, so a DegreeError here is a
+        broken invariant."""
+        d, epsilon = self.params.d, self.params.epsilon
+        try:
+            if epsilon is None or rng is None:
+                return color_directed_graph(sub, d)
+            return color_neg_corr(sub, d, epsilon, rng)
+        except DegreeError as exc:
+            raise InternalInvariantError(str(exc)) from exc
+
     def color_classes(self, sampled):
         """Deterministic-coloring color classes (list of item tuples,
         indexed by color).  Only valid when epsilon is unset."""
         items, sub = self.survivors(sampled)
-        try:
-            coloring = color_directed_graph(sub, self.params.d)
-        except DegreeError as exc:
-            raise InternalInvariantError(str(exc)) from exc
         classes = [[] for _ in range(self.palette)]
-        for v, c in enumerate(coloring.colors):
+        for v, c in enumerate(self._color(sub).colors):
             classes[c].append(items[v])
         return [tuple(cl) for cl in classes]
 
     def trial(self, rng):
-        sampled = frozenset(np.nonzero(rng.random(self.inst.n) < self.p)[0].tolist())
-        items, sub = self.survivors(sampled)
-        try:
-            if self.params.epsilon is None:
-                coloring = color_directed_graph(sub, self.params.d)
-            else:
-                coloring = color_neg_corr(sub, self.params.d, self.params.epsilon, rng)
-        except DegreeError as exc:
-            raise InternalInvariantError(str(exc)) from exc
+        """One run of the full pipeline; the result always passes
+        `check_feasible` by construction."""
+        items, sub = self.survivors(_sample(self.p, rng))
+        coloring = self._color(sub, rng)
         chosen_color = int(rng.integers(self.palette))
         return frozenset(
             items[v] for v, c in enumerate(coloring.colors) if c == chosen_color
         )
 
 
-def round_kcspip(inst, x, params, rng):
-    """One run of the full pipeline; the result always passes
-    `check_feasible` by construction."""
-    return KcsRounder(inst, x, params).trial(rng)
-
-
 class BknsRounder:
-    """Reusable baseline state: same sampling and discard as the main
-    pipeline, then a deterministic removal of big-blocked survivors."""
+    """Baseline rounding: same sampling and discard as the main pipeline,
+    then every survivor big-blocked with respect to the survivor set is
+    dropped (simultaneously, no cascade)."""
 
     def __init__(self, inst, x, alpha=1.0, ell=None):
         require_valid(inst)
@@ -343,21 +309,11 @@ class BknsRounder:
         params = KcsParams(alpha=alpha, ell=ell, d=1)
         self.inst = inst
         self.p = sample_probabilities(inst, x, params)
-        self.prep = _RowPrep(inst, ell)
+        self.soft = _soft_entries(inst, ell)
 
     def trial(self, rng):
-        sampled = frozenset(np.nonzero(rng.random(self.inst.n) < self.p)[0].tolist())
-        survivors = _discard(self.inst, self.prep, sampled)
-        return survivors - _big_blocked(self.inst, self.prep, survivors)
-
-
-def round_bkns(inst, x, alpha=1.0, rng=None):
-    """Baseline rounding: sample at alpha x_j / k, apply the medium/tiny
-    discard, then drop every item big-blocked with respect to the
-    survivor set (simultaneously, no cascade)."""
-    if rng is None:
-        raise ValidationError("rng is required")
-    return BknsRounder(inst, x, alpha=alpha).trial(rng)
+        survivors = _discard(self.soft, _sample(self.p, rng))
+        return survivors - _big_blocked(self.inst, survivors)
 
 
 # ---------------------------------------------------------------------------

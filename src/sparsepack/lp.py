@@ -30,16 +30,6 @@ TIE_TOL = 1e-12   # ratios this close to the minimum tie
 BOX_TOL = 1e-7    # a solved x may leave [0, 1] or a row by this much
 
 
-def big_sets(inst):
-    """big(i) = { j : a_ij > 1/2 } for each row i, as frozensets."""
-    bigs = {i: set() for i in range(inst.m)}
-    for j, col in enumerate(inst.columns):
-        for i, a in col:
-            if a > 0.5:
-                bigs[i].add(j)
-    return {i: frozenset(s) for i, s in bigs.items()}
-
-
 def simplex_maximize(c, D, f, upper=None):
     """max c.x s.t. D x <= f, 0 <= x <= upper, with f >= 0 componentwise.
 
@@ -125,20 +115,20 @@ def simplex_maximize(c, D, f, upper=None):
 
 def build_relaxation(inst, strengthen):
     """Assemble (c, D, f) for the chosen relaxation; the box 0 <= x <= 1
-    is left to the solver's variable bounds."""
+    is left to the solver's variable bounds.  Strengthening adds one row
+    per row of A that has a big entry, in row order."""
     n, m = inst.n, inst.m
-    bigs = big_sets(inst) if strengthen else {}
-    extra = [i for i in range(m) if strengthen and bigs[i]]
+    big_rows = inst.big_rows if strengthen else ((),) * n
+    extra = {i: m + r
+             for r, i in enumerate(sorted({i for rows in big_rows for i in rows}))}
     D = np.zeros((m + len(extra), n))
-    f = np.zeros(m + len(extra))
+    f = np.ones(m + len(extra))
+    f[:m] = inst.capacities
     for j, col in enumerate(inst.columns):
         for i, a in col:
             D[i, j] = a
-    f[:m] = inst.capacities
-    for r, i in enumerate(extra):
-        for j in bigs[i]:
-            D[m + r, j] = 1.0
-        f[m + r] = 1.0
+        for i in big_rows[j]:
+            D[extra[i], j] = 1.0
     return np.asarray(inst.weights, dtype=float), D, f
 
 

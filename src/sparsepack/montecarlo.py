@@ -47,21 +47,6 @@ def required_samples(spec):
     return math.ceil(3.0 / (spec.c * spec.epsilon**2) * math.log(1.0 / spec.delta))
 
 
-def estimate_event(trial_oracle, n, rng):
-    """Empirical frequency of a boolean experiment over n runs.
-
-    trial_oracle(rng) -> bool must be a repeatable experiment drawing
-    all of its randomness from the generator it is handed.
-    """
-    if n < 1:
-        raise DomainError("need at least one trial")
-    hits = 0
-    for _ in range(n):
-        if trial_oracle(rng):
-            hits += 1
-    return hits / n
-
-
 def attenuation_keep_prob(estimate, c):
     """min(1, c/estimate), the keep probability that flattens an
     acceptance rate of `estimate` down to c.

@@ -328,16 +328,6 @@ class _Engine:
                 )
 
 
-def probe_run_single(inst, x, alpha, rng):
-    """One unattenuated single-chance pass; returns the ProbeOutcome
-    (probed items, realized weight, final usage)."""
-    engine = _Engine(inst, x)
-    yp = engine.y_probs([alpha])
-    outcomes = []
-    engine.run_chunk(yp, [None], 1, rng, outcomes=outcomes)
-    return outcomes[0]
-
-
 def default_sim_budget(inst, x, schedule):
     """Pool size from the smallest positive per-chance target rate."""
     engine_x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
@@ -465,13 +455,6 @@ class MultiChanceSampler:
                     violations += 1
             left -= b
         return counts, violations, double_adds
-
-
-def run_multichance(inst, x, schedule, rng, sim_budget=None, attenuate_last=True):
-    """Build the sampler (running its estimation pools) and do one trial."""
-    sampler = MultiChanceSampler(inst, x, schedule, rng, sim_budget=sim_budget,
-                                 attenuate_last=attenuate_last)
-    return sampler.trial(rng)
 
 
 # ---------------------------------------------------------------------------

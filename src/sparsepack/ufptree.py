@@ -241,21 +241,21 @@ class UfpCrScheme:
         self.clamped = []
         if eta is not None:
             self.eta = np.asarray(eta, dtype=float)
-            self.keep = self._keep_table()
+            self.keep = np.array([self._keep_prob(i, float(e))
+                                  for i, e in enumerate(self.eta)])
         else:
             self._estimate_pool(rng)
 
-    def _keep_table(self):
+    def _keep_prob(self, i, eta):
+        """Demand i's keep probability at safety rate eta: NaN when eta
+        <= 0 (EstimateError surfaces if a trial ever reaches i), else
+        min(1, beta/eta), noting i as clamped when eta < beta."""
+        if eta <= 0.0:
+            return np.nan
         beta = self.params.beta
-        keep = np.zeros(self.net.n_demands)
-        for i in range(self.net.n_demands):
-            if self.eta[i] <= 0.0:
-                keep[i] = np.nan  # EstimateError surfaces if ever reached
-                continue
-            if self.eta[i] < beta:
-                self.clamped.append(i)
-            keep[i] = attenuation_keep_prob(float(self.eta[i]), beta)
-        return keep
+        if eta < beta:
+            self.clamped.append(i)
+        return attenuation_keep_prob(eta, beta)
 
     def _estimate_pool(self, rng):
         B = self.params.sim_budget
@@ -263,19 +263,14 @@ class UfpCrScheme:
         sampled = rng.random((B, net.n_demands)) < self.sample_p
         coins = rng.random((B, net.n_demands))
         usage = np.zeros((B, net.n_vertices), dtype=np.int64)
-        beta = self.params.beta
         eta = np.zeros(net.n_demands)
         keep = np.zeros(net.n_demands)
         for i in self.order:
             path = self.paths[i]
             safe = (usage[:, path] < self.caps[path]).all(axis=1)
             eta[i] = float(safe.mean())
-            if eta[i] <= 0.0:
-                keep[i] = np.nan
-                continue
-            if eta[i] < beta:
-                self.clamped.append(i)
-            keep[i] = attenuation_keep_prob(float(eta[i]), beta)
+            keep[i] = self._keep_prob(i, eta[i])
+            # a NaN keep compares False, so such a demand routes nothing
             routed = sampled[:, i] & safe & (coins[:, i] < keep[i])
             if routed.any():
                 usage[np.ix_(routed, path)] += 1
@@ -306,13 +301,6 @@ class UfpCrScheme:
                 for v in path:
                     usage[v] += 1
         return frozenset(routed)
-
-
-def cr_round(net, x, params, rng, eta=None):
-    """One contention-resolved rounding; builds the safety table (or uses
-    a supplied one) and runs a single trial."""
-    scheme = UfpCrScheme(net, x, params, rng, eta=eta)
-    return scheme.trial(rng)
 
 
 def routed_weight(net, routed):

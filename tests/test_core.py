@@ -69,11 +69,13 @@ def test_validation_runs_once_per_instance(monkeypatch):
     assert seen == [inst]
 
 
-def test_row_members_inverts_columns(tiny_instance):
-    members = tiny_instance.row_members
-    assert members[0] == ((0, 0.9), (1, 0.4), (2, 0.01))
-    assert members[1] == ((1, 0.6),)
-    assert tiny_instance.column_rows == ((0,), (0, 1), (0,))
+def test_big_rows_lists_rows_above_one_half():
+    inst = make_instance(
+        [1.0, 1.0, 1.0], [1.0] * 3,
+        [[(0, 0.5)], [(2, 1.0), (0, 0.51), (1, 0.2)], []],
+    )
+    assert inst.big_rows == ((), (2, 0), ())   # 1/2 itself is not big
+    assert inst.big_rows is inst.big_rows
 
 
 def test_coefficient_lookup(tiny_instance):

@@ -10,9 +10,8 @@ from sparsepack.hypermatch import (EXACT_EDGE_CAP, HmRounder, attenuation_g,
                                    hypergraph_from_dict, hypergraph_to_dict,
                                    is_matching, load_hypergraph,
                                    make_hypergraph, matching_weight,
-                                   round_matching, round_matching_linear,
-                                   save_hypergraph, theoretical_bound,
-                                   validate_hypergraph)
+                                   round_matching, save_hypergraph,
+                                   theoretical_bound, validate_hypergraph)
 from sparsepack.hypermatch import _sweep
 from sparsepack.montecarlo import binomial_stderr, trial_rng
 
@@ -101,8 +100,8 @@ def test_round_matching_validates():
         round_matching(h, [0.5, 0.5], attenuation_g, rng)
     with pytest.raises(DomainError):
         round_matching(h, [1.0], lambda v: 1.5, rng)
-    with pytest.raises(DomainError):
-        round_matching_linear(h, [1.0], -1.0, rng)
+    with pytest.raises(DomainError):   # a negative linear mark rate
+        HmRounder(h, [1.0], lambda v: min(1.0, -1.0 * v))
 
 
 def test_disjoint_edges_match_at_their_mark_rate():
@@ -125,8 +124,9 @@ def test_contending_edges_split_evenly_under_forced_marks():
     rng = trial_rng(2, 0)
     trials = 30_000
     hits = np.zeros(2)
+    rounder = HmRounder(h, [1.0, 1.0], lambda v: min(1.0, 1.0 * v))
     for _ in range(trials):
-        picked = round_matching_linear(h, [1.0, 1.0], 1.0, rng)
+        picked = rounder.trial(rng)
         assert len(picked) == 1  # both always marked, they share vertex 1
         hits[list(picked)[0]] += 1
     assert hits[0] / trials == pytest.approx(0.5, abs=4 * binomial_stderr(0.5, trials))
@@ -149,8 +149,9 @@ def test_singleton_edge_rate_for_linear_marks():
     # A lone unit-rate edge is always marked and always picked.
     h = make_hypergraph(1, [((0,), 5.0)])
     rng = trial_rng(3, 0)
+    rounder = HmRounder(h, [1.0], lambda v: min(1.0, 1.0 * v))
     for _ in range(20):
-        assert round_matching_linear(h, [1.0], 1.0, rng) == frozenset({0})
+        assert rounder.trial(rng) == frozenset({0})
 
 
 def test_round_trip(tmp_path):

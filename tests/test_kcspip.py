@@ -14,14 +14,13 @@ import pytest
 
 from sparsepack.core import check_feasible, make_instance, require_valid
 from sparsepack.errors import ParamError, SizeError, ValidationError
-from sparsepack.kcspip import (BknsRounder, CoefficientClass, KcsParams,
-                               KcsRounder, build_conflict_digraph, classify,
+from sparsepack.kcspip import (BknsRounder, KcsParams, KcsRounder,
+                               build_conflict_digraph,
                                conditional_inclusion_probabilities,
                                discard_blocked,
                                exact_inclusion_probabilities,
                                exact_pairwise_probabilities, instance_k,
-                               remove_anomalous, round_bkns, round_kcspip,
-                               sample_probabilities, sample_r0)
+                               remove_anomalous, sample_probabilities)
 from sparsepack.harness import gen_random_kcs
 from sparsepack.lp import solve_packing_lp
 from sparsepack.montecarlo import binomial_stderr, trial_rng
@@ -72,18 +71,20 @@ def test_palette_size():
 
 
 def test_classify_boundaries():
-    inst = make_instance(
-        [1.0], [1.0] * 5,
-        [[(0, 0.51)], [(0, 0.5)], [(0, 0.25)], [(0, 0.2499)], [(0, 0.01)]],
-    )
-    classes = classify(inst, ell=4)
-    assert classes[(0, 0)] is CoefficientClass.BIG
-    assert classes[(0, 1)] is CoefficientClass.MEDIUM   # 1/2 itself is medium
-    assert classes[(0, 2)] is CoefficientClass.MEDIUM   # 1/ell itself is medium
-    assert classes[(0, 3)] is CoefficientClass.TINY
-    assert classes[(0, 4)] is CoefficientClass.TINY
-    with pytest.raises(ParamError):
-        classify(inst, ell=2)
+    # The class thresholds as the discard sees them, on one unit row at
+    # ell = 4: three mediums block each other, bigs are never discarded
+    # here, and tiny items whose row fits survive.
+    def discard_three(a, ell=4):
+        inst = make_instance([1.0], [1.0] * 3, [[(0, a)]] * 3)
+        return discard_blocked(inst, {0, 1, 2}, ell=ell)
+
+    assert discard_three(0.5) == frozenset()      # 1/2 itself is medium
+    assert discard_three(0.51) == {0, 1, 2}       # big
+    assert discard_three(0.25) == frozenset()     # 1/ell itself is medium
+    assert discard_three(0.2499) == {0, 1, 2}     # tiny, load 0.7497 <= 1
+    for ell in (2, 0):
+        with pytest.raises(ParamError):
+            discard_three(0.25, ell=ell)
 
 
 def test_instance_k_prefers_declaration():
@@ -103,15 +104,6 @@ def test_sample_probabilities_scale_and_clamp():
         sample_probabilities(inst, [0.5], params)
     with pytest.raises(ValidationError):
         sample_probabilities(inst, [0.5, 1.5], params)
-
-
-def test_sample_r0_is_stream_determined(tiny_instance):
-    params = KcsParams(alpha=1.0, ell=3, d=1)
-    x = [1.0, 1.0, 1.0]
-    a = sample_r0(tiny_instance, x, params, np.random.default_rng(5))
-    b = sample_r0(tiny_instance, x, params, np.random.default_rng(5))
-    assert a == b
-    assert all(0 <= j < tiny_instance.n for j in a)
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +274,6 @@ def test_trial_with_spread_palette_is_feasible():
         assert check_feasible(inst, chosen)
 
 
-def test_round_kcspip_one_shot_equals_rounder(tiny_instance):
-    params = KcsParams.defaults(2)
-    x = [0.5, 0.5, 0.5]
-    a = round_kcspip(tiny_instance, x, params, trial_rng(9, 0))
-    b = KcsRounder(tiny_instance, x, params).trial(trial_rng(9, 0))
-    assert a == b
-
-
 def test_color_classes_partition_survivors(mixed_class_instance):
     params = KcsParams(alpha=2.0, ell=4, d=2)
     rounder = KcsRounder(mixed_class_instance, [1.0] * 6, params)
@@ -338,18 +322,14 @@ def test_baseline_singleton_rate():
     assert freq == pytest.approx(0.35, abs=4 * binomial_stderr(0.35, trials))
 
 
-def test_round_bkns_requires_rng(tiny_instance):
-    with pytest.raises(ValidationError):
-        round_bkns(tiny_instance, [0.5, 0.5, 0.5])
-
-
 def test_round_bkns_is_feasible_under_unit_capacities():
     for seed in range(4):
         inst = gen_random_kcs(n=12, m=6, k=3, seed=seed)
         x = solve_packing_lp(inst, strengthen=True).x
+        rounder = BknsRounder(inst, x)
         rng = trial_rng(seed, 1)
         for _ in range(200):
-            assert check_feasible(inst, round_bkns(inst, x, rng=rng))
+            assert check_feasible(inst, rounder.trial(rng))
 
 
 # ---------------------------------------------------------------------------

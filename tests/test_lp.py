@@ -15,8 +15,7 @@ from sparsepack.core import make_instance, require_valid
 from sparsepack.errors import InternalInvariantError, UnboundedError
 from sparsepack.harness import (gen_gap_instance, gen_random_hypergraph,
                                 gen_random_kcs, hypergraph_lp_instance)
-from sparsepack.lp import (big_sets, build_relaxation, simplex_maximize,
-                           solve_packing_lp)
+from sparsepack.lp import build_relaxation, simplex_maximize, solve_packing_lp
 
 
 def vertex_enumeration_opt(c, D, f):
@@ -56,17 +55,6 @@ def test_simplex_is_deterministic():
     second = simplex_maximize(c, D, f)
     assert np.array_equal(first[0], second[0])
     assert first[1] == second[1]
-
-
-def test_big_sets_threshold():
-    inst = make_instance(
-        [1.0, 1.0],
-        [1.0, 1.0, 1.0],
-        [[(0, 0.5)], [(0, 0.51), (1, 1.0)], [(1, 0.2)]],
-    )
-    bigs = big_sets(inst)
-    assert bigs[0] == frozenset({1})  # 0.5 itself is not big
-    assert bigs[1] == frozenset({1})
 
 
 @pytest.mark.parametrize("strengthen", [False, True])

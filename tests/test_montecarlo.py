@@ -8,8 +8,8 @@ import pytest
 
 from sparsepack.errors import DomainError
 from sparsepack.montecarlo import (EstimationSpec, attenuation_keep_prob,
-                                   binomial_stderr, estimate_event,
-                                   required_samples, trial_rng)
+                                   binomial_stderr, required_samples,
+                                   trial_rng)
 
 
 def test_required_samples_known_values():
@@ -32,18 +32,6 @@ def test_required_samples_scales_inversely_with_floor():
 def test_estimation_spec_domain(kwargs):
     with pytest.raises(DomainError):
         EstimationSpec(**kwargs)
-
-
-def test_estimate_event_counts_hits(rng):
-    assert estimate_event(lambda r: True, 10, rng) == 1.0
-    assert estimate_event(lambda r: False, 10, rng) == 0.0
-    freq = estimate_event(lambda r: r.random() < 0.25, 40_000, rng)
-    assert freq == pytest.approx(0.25, abs=4 * binomial_stderr(0.25, 40_000))
-
-
-def test_estimate_event_needs_trials(rng):
-    with pytest.raises(DomainError):
-        estimate_event(lambda r: True, 0, rng)
 
 
 def test_attenuation_keep_prob_flattens():

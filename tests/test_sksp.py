@@ -11,8 +11,7 @@ from sparsepack.montecarlo import binomial_stderr, trial_rng
 from sparsepack.sksp import (ChanceSchedule, MultiChanceSampler, SkspInstance,
                              compute_schedule, default_chances,
                              expected_size_instance, ideal_gamma, load_sksp,
-                             make_item, probe_run_single, run_multichance,
-                             save_sksp, sksp_from_dict, sksp_to_dict,
+                             make_item, save_sksp, sksp_from_dict, sksp_to_dict,
                              solve_sksp_lp, validate_sksp)
 
 
@@ -158,12 +157,21 @@ def test_lp_on_deterministic_items_matches_plain_relaxation():
 # ---------------------------------------------------------------------------
 # Probing engine
 
+def single_chance(inst, x, alpha, rng):
+    """One unattenuated chance at rate alpha x_j / k: no pool runs, so
+    building it draws nothing from rng."""
+    return MultiChanceSampler(inst, x, ChanceSchedule(alphas=(alpha,),
+                                                      betas=(0.0,)),
+                              rng, attenuate_last=False)
+
+
 def test_single_chance_on_a_full_row_probes_exactly_one():
     items = tuple(deterministic_item([0]) for _ in range(4))
     inst = SkspInstance(m=1, capacities=(1,), k=1, items=items)
     rng = trial_rng(0, 0)
+    sampler = single_chance(inst, [1.0] * 4, alpha=1.0, rng=rng)
     for _ in range(50):
-        out = probe_run_single(inst, [1.0] * 4, alpha=1.0, rng=rng)
+        out = sampler.trial(rng)
         assert len(out.chosen) == 1
         assert out.usage == (1,)
         assert out.realized_weight == 1.0
@@ -173,10 +181,8 @@ def test_single_chance_respects_sampling_rate():
     inst = disjoint_instance(1, k=2)
     rng = trial_rng(1, 0)
     trials = 20_000
-    hits = sum(
-        bool(probe_run_single(inst, [0.8], alpha=1.0, rng=rng).chosen)
-        for _ in range(trials)
-    )
+    sampler = single_chance(inst, [0.8], alpha=1.0, rng=rng)
+    hits = sum(bool(sampler.trial(rng).chosen) for _ in range(trials))
     # sample rate alpha x / k = 0.4, and a lone item is always safe
     assert hits / trials == pytest.approx(0.4, abs=4 * binomial_stderr(0.4, trials))
 
@@ -306,11 +312,13 @@ def test_sampler_validates_input():
 def test_run_multichance_is_reproducible():
     inst = disjoint_instance(3, k=4)
     sched = compute_schedule(2, inst.k)
-    a = run_multichance(inst, [0.9, 0.5, 0.1], sched, trial_rng(9, 0),
-                        sim_budget=5_000)
-    b = run_multichance(inst, [0.9, 0.5, 0.1], sched, trial_rng(9, 0),
-                        sim_budget=5_000)
-    assert a == b
+    outcomes = []
+    for _ in range(2):
+        rng = trial_rng(9, 0)
+        sampler = MultiChanceSampler(inst, [0.9, 0.5, 0.1], sched, rng,
+                                     sim_budget=5_000)
+        outcomes.append(sampler.trial(rng))
+    assert outcomes[0] == outcomes[1]
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ from sparsepack.errors import EstimateError, ParamError, ValidationError
 from sparsepack.harness import gen_random_tree
 from sparsepack.montecarlo import binomial_stderr, trial_rng
 from sparsepack.ufptree import (ALPHA_CAP, TreeNetwork, UfpCrScheme,
-                                UfpParams, balance_objective, cr_round,
-                                edge_usage, lca_order, load_tree, make_tree,
+                                UfpParams, balance_objective, edge_usage, lca_order, load_tree, make_tree,
                                 optimize_alpha, routed_weight, save_tree,
                                 tree_from_dict, tree_lp_instance, tree_path,
                                 tree_to_dict, validate_tree)
@@ -211,8 +210,9 @@ def test_routing_respects_capacities():
 
 def test_cr_round_single_call(rng):
     net = with_demands(chain_tree(4, cap=2), [(0, 3, 2.0), (1, 2, 1.0)])
-    routed = cr_round(net, [0.5, 0.5], UfpParams(alpha=0.1, sim_budget=5_000),
-                      rng)
+    scheme = UfpCrScheme(net, [0.5, 0.5],
+                         UfpParams(alpha=0.1, sim_budget=5_000), rng)
+    routed = scheme.trial(rng)
     assert routed <= {0, 1}
     assert routed_weight(net, routed) == sum(
         (2.0, 1.0)[i] for i in routed)
