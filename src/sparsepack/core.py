@@ -16,6 +16,7 @@ feasibility (1e-9 additive tolerance) used everywhere.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,9 +59,9 @@ class PackingInstance:
         instance: it is frozen, and every rounder asks again.
 
         Checked: dimension consistency, row indices in range, no
-        duplicate row within a column, coefficients in (0, 1], weights
-        >= 0, capacities >= 1, and |C(j)| <= k when a sparsity k is
-        declared.
+        duplicate row within a column, coefficients in (0, 1], finite
+        weights >= 0, finite capacities >= 1, and |C(j)| <= k when a
+        sparsity k is declared.
         """
         v = []
         if self.n != len(self.columns):
@@ -72,9 +73,13 @@ class PackingInstance:
         for j, w in enumerate(self.weights):
             if not (w >= 0.0):
                 v.append(f"weight[{j}]={w} negative")
+            elif not math.isfinite(w):
+                v.append(f"weight[{j}]={w} not finite")
         for i, b in enumerate(self.capacities):
             if not (b >= 1.0):
                 v.append(f"capacity[{i}]={b} below 1")
+            elif not math.isfinite(b):
+                v.append(f"capacity[{i}]={b} not finite")
         for j, col in enumerate(self.columns):
             rows = [i for i, _ in col]
             if len(set(rows)) != len(rows):

@@ -63,6 +63,8 @@ class Hypergraph:
                     v.append(f"edge {j} vertex {u} out of range")
             if not (w >= 0):
                 v.append(f"edge {j} weight {w} negative")
+            elif not math.isfinite(w):
+                v.append(f"edge {j} weight {w} not finite")
         return ValidationReport(tuple(v))
 
     @cached_property

@@ -125,7 +125,7 @@ def sample_probabilities(inst, x, params):
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.n,):
         raise ValidationError(f"x has shape {x.shape}, expected ({inst.n},)")
-    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
+    if not np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):
         raise ValidationError("x outside [0,1]")
     k = instance_k(inst)
     return np.minimum(1.0, params.alpha * np.clip(x, 0.0, 1.0) / k)

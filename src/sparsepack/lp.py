@@ -10,8 +10,10 @@ The strengthened form closes the factor-2 integrality gap that single
 big items cause; its optimum is never above the plain optimum, and the
 two coincide when no coefficient exceeds 1/2.
 
-The solver is a from-scratch primal simplex on the slack form with
-Bland's anti-cycling rule, which also makes the returned vertex
+The solver is a from-scratch primal simplex on the slack form.  It
+prices by the largest coefficient (Dantzig) and falls back to Bland's
+lowest-index rule after a degenerate step, until a step of positive
+length is taken; ties go to the lowest index, so the returned vertex is
 deterministic.  The box x_j <= 1 is a variable bound, met by bound
 flips rather than by rows, and the all-slack basis is feasible, so no
 phase-1 is needed.  Each pivot is one rank-1 update over the tableau
@@ -26,7 +28,7 @@ from .core import FractionalSolution, require_valid
 from .errors import InternalInvariantError, UnboundedError
 
 PIVOT_TOL = 1e-9
-TIE_TOL = 1e-12   # ratios this close to the minimum tie
+TIE_TOL = 1e-12   # ratios this close tie; a step this short is degenerate
 BOX_TOL = 1e-7    # a solved x may leave [0, 1] or a row by this much
 
 
@@ -40,12 +42,20 @@ def simplex_maximize(c, D, f, upper=None):
 
     A nonbasic variable at its upper bound u_j is complemented, x_j =
     u_j - x'_j, so every nonbasic tableau variable sits at zero.
-    Bland's rule covers all three bound events: the lowest-index column
-    with positive reduced profit enters; among ratio ties, the row
-    whose basic variable has the lowest index leaves, whether that
-    variable falls to 0 or rises to its bound; and a tie with the
-    entering variable's own bound goes to the flip, which pivots
-    nothing.
+
+    Entering: the column with the largest reduced profit enters, the
+    lowest index among ties.  After a step of length at most TIE_TOL
+    (a degenerate pivot or flip), the lowest-index column with positive
+    reduced profit enters instead (Bland), until a step of positive
+    length is taken.  Leaving: among ratio ties, the row whose basic
+    variable has the lowest index leaves, whether that variable falls
+    to 0 or rises to its bound; a tie with the entering variable's own
+    bound goes to the flip, which pivots nothing.
+
+    Termination: a step of positive length strictly raises the
+    objective, so no basis repeats across one.  A cycle would thus be
+    made of degenerate steps only, and every step of such a stretch but
+    its first follows Bland's rule, which cannot cycle.
     """
     c = np.asarray(c, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -71,6 +81,7 @@ def simplex_maximize(c, D, f, upper=None):
     flipped = np.zeros(n + r, dtype=bool)
 
     max_iters = 50 * (n + r) + 1000
+    degenerate = False
     for _ in range(max_iters):
         candidates = np.flatnonzero(T[r, :-1] < -PIVOT_TOL)
         if candidates.size == 0:
@@ -78,7 +89,10 @@ def simplex_maximize(c, D, f, upper=None):
             x[basis] = T[:r, -1]
             x = np.where(flipped, ub - x, x)[:n]
             return x, float(c @ x)
-        enter = int(candidates[0])  # Bland: smallest index
+        if degenerate:
+            enter = int(candidates[0])  # Bland: smallest index
+        else:
+            enter = int(candidates[np.argmin(T[r, candidates])])
         col, rhs = T[:r, enter], T[:r, -1]
         # Raising the entering variable by t moves basic row i by -t col[i]:
         # down to 0 where col > 0, up to its bound where col < 0.
@@ -90,6 +104,7 @@ def simplex_maximize(c, D, f, upper=None):
         best = min(ratios.min(initial=np.inf), ub[enter])
         if best == np.inf:
             raise UnboundedError("LP unbounded along column %d" % enter)
+        degenerate = best <= TIE_TOL
         if ub[enter] <= best + TIE_TOL:
             T[:, -1] -= ub[enter] * T[:, enter]
             T[:, enter] *= -1.0

@@ -118,15 +118,17 @@ def validate_sksp(inst):
         total = 0.0
         for s, (p, w, bits) in enumerate(item.scenarios):
             total += p
-            if p < 0:
+            if not (p >= 0):
                 v.append(f"item {j} scenario {s} probability {p} negative")
-            if w < 0:
+            if not (w >= 0):
                 v.append(f"item {j} scenario {s} weight {w} negative")
+            elif not math.isfinite(w):
+                v.append(f"item {j} scenario {s} weight {w} not finite")
             if len(bits) != len(item.support):
                 v.append(f"item {j} scenario {s} bit vector length mismatch")
             if any(b not in (0, 1) for b in bits):
                 v.append(f"item {j} scenario {s} bits not 0/1")
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             v.append(f"item {j} scenario probabilities sum to {total}")
     return ValidationReport(tuple(v))
 
@@ -249,7 +251,7 @@ class _Engine:
         x = np.asarray(x, dtype=float)
         if x.shape != (inst.n,):
             raise ValidationError(f"x has shape {x.shape}, expected ({inst.n},)")
-        if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
+        if not np.all((x >= -1e-12) & (x <= 1 + 1e-12)):
             raise ValidationError("x outside [0,1]")
         self.inst = inst
         self.x = np.clip(x, 0.0, 1.0)

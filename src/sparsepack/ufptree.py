@@ -132,6 +132,8 @@ def validate_tree(net):
             v.append(f"demand {idx} has equal endpoints")
         if not (w >= 0):
             v.append(f"demand {idx} weight {w} negative")
+        elif not math.isfinite(w):
+            v.append(f"demand {idx} weight {w} not finite")
     return ValidationReport(tuple(v))
 
 
@@ -229,7 +231,7 @@ class UfpCrScheme:
             raise ValidationError(
                 f"x has shape {x.shape}, expected ({net.n_demands},)"
             )
-        if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
+        if not np.all((x >= -1e-12) & (x <= 1 + 1e-12)):
             raise ValidationError("x outside [0,1]")
         self.net = net
         self.x = np.clip(x, 0.0, 1.0)

@@ -122,6 +122,34 @@ def test_round_every_scheme(alg, tmp_path, capsys):
     assert f"array of {n} numbers" in err
 
 
+@pytest.mark.parametrize("alg", ["bkns", "kcspip", "sksp", "ufp"])
+def test_round_rejects_nan_in_x(alg, tmp_path, capsys):
+    # NaN compares False both ways, so a range test written as
+    # "x < 0 or x > 1" let it through to the trials.
+    family, n, extra = ROUND_CASES[alg]
+    inst = tmp_path / "inst.json"
+    assert run(capsys, "gen", *family, "--seed", "3", "-o", str(inst))[0] == 0
+    xfile = tmp_path / "x.json"
+    xfile.write_text("[NaN" + ", 0.25" * (n - 1) + "]")
+    rc, out, err = run(capsys, "round", alg, "--instance", str(inst),
+                       "--seed", "5", "--trials", "8", "--x", str(xfile),
+                       *extra)
+    assert rc == 1
+    assert "outside [0,1]" in err
+    assert out == ""
+
+
+def test_solve_lp_rejects_infinite_capacity(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    inst = gen_gap_instance(2)
+    save_instance(dataclasses.replace(
+        inst, capacities=(float("inf"),) + inst.capacities[1:]), path)
+    rc, out, err = run(capsys, "solve-lp", str(path))
+    assert rc == 1
+    assert "not finite" in err
+    assert out == ""
+
+
 def test_round_writes_csv(gap_path, tmp_path, capsys):
     sink = tmp_path / "table.csv"
     rc, _, _ = run(capsys, "round", "bkns", "--instance", gap_path,

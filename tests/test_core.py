@@ -56,6 +56,18 @@ def test_require_valid_raises_with_message():
         require_valid(inst)
 
 
+@pytest.mark.parametrize("capacities, weights", [
+    ([float("inf")], [1.0]),
+    ([1.0], [float("inf")]),
+])
+def test_validate_rejects_infinite_capacity_or_weight(capacities, weights):
+    # inf passes `>= 1` and `>= 0`; the LP would run on it and write an
+    # objective that is not JSON.
+    inst = make_instance(capacities, weights, [[(0, 0.5)]])
+    report = validate_instance(inst)
+    assert any("not finite" in v for v in report.violations)
+
+
 def test_validation_runs_once_per_instance(monkeypatch):
     inst = make_instance([0.5], [1.0], [[(0, 1.0)]])
     assert validate_instance(inst) is validate_instance(inst)

@@ -54,6 +54,11 @@ def test_validate_hypergraph_flags_defects():
                validate_hypergraph(make_hypergraph(2, [((0,), -1.0)])).violations)
 
 
+def test_validate_hypergraph_rejects_infinite_weight():
+    h = make_hypergraph(2, [((0,), float("inf"))])
+    assert any("not finite" in v for v in validate_hypergraph(h).violations)
+
+
 def test_validation_runs_once_per_hypergraph():
     # A frozen hypergraph is checked once, however many rounders it feeds.
     h = make_hypergraph(2, [((0, 0), 1.0)])

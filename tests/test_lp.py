@@ -186,3 +186,32 @@ def test_objective_matches_highs(case):
     assert highs.status == 0
     sol = solve_packing_lp(inst, strengthen=strengthen)
     assert sol.objective == pytest.approx(-highs.fun, rel=1e-9)
+
+
+def test_beale_cycling_lp_terminates_at_its_optimum():
+    # Beale's example: the origin is degenerate in both rows with a zero
+    # right-hand side, and largest-coefficient pricing with a lowest-index
+    # leaving rule cycles there until the iteration guard trips.  The
+    # Bland fallback after a degenerate step must break the cycle.
+    c = [0.75, -150.0, 1.0 / 50.0, -6.0]
+    D = [[0.25, -60.0, -1.0 / 25.0, 9.0],
+         [0.5, -90.0, -1.0 / 50.0, 3.0],
+         [0.0, 0.0, 1.0, 0.0]]
+    x, obj = simplex_maximize(c, D, [0.0, 0.0, 1.0], upper=None)
+    assert obj == pytest.approx(1.0 / 20.0, abs=1e-12)
+    assert np.allclose(x, [1.0 / 25.0, 0.0, 1.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["kcs-200", "hypergraph-700"])
+def test_objective_matches_highs_on_benchmark_sized_lps(case):
+    optimize = pytest.importorskip("scipy.optimize")
+    if case == "kcs-200":
+        inst = gen_random_kcs(n=200, m=100, k=4, seed=1)
+    else:
+        inst = hypergraph_lp_instance(gen_random_hypergraph(300, 700, 3, seed=1))
+    c, D, f = build_relaxation(inst, strengthen=True)
+    highs = optimize.linprog(-c, A_ub=D, b_ub=f, bounds=(0.0, 1.0),
+                             method="highs")
+    assert highs.status == 0
+    sol = solve_packing_lp(inst, strengthen=True)
+    assert sol.objective == pytest.approx(-highs.fun, rel=1e-9)

@@ -117,6 +117,20 @@ def test_validate_sksp_flags_defects():
     assert any("length" in v for v in validate_sksp(bad_bits).violations)
 
 
+def test_validate_sksp_rejects_infinite_or_nan_scenario_values():
+    def one_item(p, w):
+        return SkspInstance(m=1, capacities=(1,), k=1,
+                            items=(make_item([0], [(p, w, [1])]),))
+    inf_weight = validate_sksp(one_item(1.0, float("inf"))).violations
+    assert any("not finite" in v for v in inf_weight)
+    nan_weight = validate_sksp(one_item(1.0, float("nan"))).violations
+    assert any("weight nan" in v for v in nan_weight)
+    # a NaN probability makes the sum NaN, which `> 1e-9` let through
+    nan_prob = validate_sksp(one_item(float("nan"), 1.0)).violations
+    assert any("probability nan" in v for v in nan_prob)
+    assert any("sum" in v for v in nan_prob)
+
+
 def test_expected_size_instance_projects_u():
     inst = SkspInstance(
         m=2, capacities=(1, 2), k=2,

@@ -54,6 +54,11 @@ def test_validate_tree_flags_defects():
     assert any("negative" in v for v in validate_tree(neg).violations)
 
 
+def test_validate_tree_rejects_infinite_demand_weight():
+    net = make_tree([-1, 0], 0, [1, 1], [(0, 1, float("inf"))])
+    assert any("not finite" in v for v in validate_tree(net).violations)
+
+
 # ---------------------------------------------------------------------------
 # Paths against an independent oracle
 
