@@ -28,6 +28,14 @@ in chance t with probability beta_t x_j / k up to simulation error.
 whose totals gamma_T = 1/2, 5/8, 89/128, ... increase toward 1, with
 the finite-k correction beta_t = beta*_t - alpha*_t (sum_{t'<t}
 alpha*_{t'}) / k, clamped at zero.
+
+`_Engine` draws all the randomness of B runs as arrays in one step
+(first successful chances, orders, keep coins, scenarios).  The
+estimation pools and `chance_tally` simulate the B runs of a draw
+together in one vectorised pass; a trial (B = 1) walks its single run
+in plain Python, which is cheaper than the pass below about a hundred
+runs.  Both read the same draws, so a trial is exactly one row of a
+pass over the same stream.
 """
 
 from __future__ import annotations
@@ -244,7 +252,19 @@ class ProbeOutcome:
 
 
 class _Engine:
-    """Shared simulation core; all randomness is drawn in bulk per chunk."""
+    """Shared simulation core: one array draw, a vectorised pass, a walk.
+
+    `_draw` takes all the randomness of B runs in four bulk `rng.random`
+    calls and returns arrays.  `_pass` simulates the B runs of those
+    draws together, stepping through the order positions of each chance
+    and touching only the runs whose item at that position is eligible;
+    the estimation pools and `chance_tally` use it.  `_walk` simulates
+    one run of the same draws in plain Python.  The harness calls
+    `trial` once per trial (B = 1), and there the walk costs about a
+    tenth of the pass, whose dozen numpy calls per order position only
+    pay off from about a hundred runs; so the walk stays.
+    tests/test_sksp_properties.py pins the two to each other row by row.
+    """
 
     def __init__(self, inst, x):
         require_valid_sksp(inst)
@@ -255,79 +275,115 @@ class _Engine:
             raise ValidationError("x outside [0,1]")
         self.inst = inst
         self.x = np.clip(x, 0.0, 1.0)
+        n, m, k = inst.n, inst.m, inst.k
+        # Python tables for the walk
         self.support = [list(item.support) for item in inst.items]
         self.bits = [[list(bits) for _, _, bits in item.scenarios] for item in inst.items]
         self.sweights = [[w for _, w, _ in item.scenarios] for item in inst.items]
-        self.scum = [
-            np.cumsum([p for p, _, _ in item.scenarios]) for item in inst.items
-        ]
         self.caps = [b - 1 for b in inst.capacities]  # safe iff usage <= cap-1
+        # Array tables for the pass and the draw.  Supports are padded to
+        # k with the sentinel row m, whose room of 1 never binds since
+        # its bits are 0.  scum holds each item's cumulative scenario
+        # probabilities but the last, padded with inf: the count of
+        # entries below a uniform u is the scenario it picks, as
+        # min(searchsorted(cumsum, u), S - 1) over the full table.
+        n_scen = max((len(item.scenarios) for item in inst.items), default=1)
+        self.usage_dtype = np.min_scalar_type(max(inst.capacities, default=1))
+        self.room = np.append(np.asarray(inst.capacities, dtype=np.int64), 1)
+        self.sup = np.full((n, k), m, dtype=np.int64)
+        self.scum = np.full((n, n_scen), np.inf)
+        self.bit_tab = np.zeros((n, n_scen, k), dtype=self.usage_dtype)
+        self.w_tab = np.zeros((n, n_scen))
+        for j, item in enumerate(inst.items):
+            s = len(item.scenarios)
+            self.sup[j, :len(item.support)] = item.support
+            self.scum[j, :s - 1] = np.cumsum([p for p, _, _ in item.scenarios])[:-1]
+            for r, (_, w, bits) in enumerate(item.scenarios):
+                self.w_tab[j, r] = w
+                self.bit_tab[j, r, :len(bits)] = bits
 
     def y_probs(self, alphas):
         k = self.inst.k
         return np.minimum(1.0, np.outer(alphas, self.x) / k)
 
     def _draw(self, yp, B, rng):
+        """Randomness of B runs of chances 0..T-1: each item's first
+        successful chance tau (B, n), T if none succeeds; the per-chance
+        visiting orders (B, T, n); the keep coins (B, T, n); the
+        realized scenarios (B, n)."""
         T, n = yp.shape
-        Y = rng.random((B, T, n)) < yp
-        tau = np.where(Y.any(axis=1), Y.argmax(axis=1), -1).astype(np.int64)
+        hit = np.ones((B, T + 1, n), dtype=bool)  # chance T always succeeds
+        np.less(rng.random((B, T, n)), yp, out=hit[:, :T])
+        tau = hit.argmax(axis=1)
         orders = np.argsort(rng.random((B, T, n)), axis=2)
         coins = rng.random((B, T, n))
-        scen = np.empty((B, n), dtype=np.int64)
         u = rng.random((B, n))
-        for j in range(n):
-            cum = self.scum[j]
-            scen[:, j] = np.minimum(np.searchsorted(cum, u[:, j]), len(cum) - 1)
-        return tau.tolist(), orders.tolist(), coins.tolist(), scen.tolist()
+        scen = (self.scum < u[:, :, None]).sum(
+            axis=2, dtype=np.min_scalar_type(self.scum.shape[1]))
+        return tau, orders, coins, scen
 
-    def run_chunk(self, yp, keeps, B, rng, record_chance=None, counts=None,
-                  outcomes=None):
-        """Simulate B runs of chances 0..T-1.
+    def _pass(self, draws, keeps):
+        """Simulate every run of `draws`.
 
         keeps[t] is a per-item keep-probability list, or None for an
-        unattenuated chance.  When record_chance is set, counts[j]
-        accumulates adds at that chance.  When `outcomes` is a list, one
-        ProbeOutcome per run is appended (trial mode).
+        unattenuated chance.  Returns added (B, n), the chance at which
+        each item was added or -1; usage (B, m); realized weight (B,);
+        and the number of add events of each run.
         """
-        T, n = yp.shape
-        taus, orders, coins, scens = self._draw(yp, B, rng)
-        support, bits, sweights, caps = self.support, self.bits, self.sweights, self.caps
+        tau, orders, coins, scen = draws
+        B, T, n = orders.shape
         m = self.inst.m
-        for r in range(B):
-            usage = [0] * m
-            tau_r = taus[r]
-            orders_r = orders[r]
-            coins_r = coins[r]
-            scen_r = scens[r]
-            added = [-1] * n if outcomes is not None else None
-            wsum = 0.0
-            for t in range(T):
-                keep_t = keeps[t]
-                coins_rt = coins_r[t]
-                for j in orders_r[t]:
-                    if tau_r[j] != t:
-                        continue
-                    safe = True
-                    for i in support[j]:
-                        if usage[i] > caps[i]:
-                            safe = False
-                            break
-                    if not safe:
-                        continue
-                    if keep_t is not None and coins_rt[j] >= keep_t[j]:
-                        continue
-                    if record_chance == t and counts is not None:
-                        counts[j] += 1
-                    s = scen_r[j]
-                    for i, bit in zip(support[j], bits[j][s]):
-                        usage[i] += bit
-                    wsum += sweights[j][s]
-                    if added is not None:
-                        added[j] = t
-            if outcomes is not None:
-                outcomes.append(
-                    ProbeOutcome(tuple(added), wsum, tuple(usage))
-                )
+        added = np.full((B, n), -1, dtype=np.min_scalar_type(-T))
+        usage = np.zeros((B, m + 1), dtype=self.usage_dtype)
+        weight = np.zeros(B)
+        events = np.zeros(B, dtype=np.int64)
+        for t in range(T):
+            keep = None if keeps[t] is None else np.asarray(keeps[t], dtype=float)
+            items = orders[:, t, :]
+            # eligible.T[p, b]: run b's item at position p is eligible now
+            eligible = np.ascontiguousarray(
+                np.take_along_axis(tau == t, items, axis=1).T)
+            for p in np.flatnonzero(eligible.any(axis=1)):
+                runs = np.flatnonzero(eligible[p])
+                j = items[runs, p]
+                sup = self.sup[j]
+                ok = (usage[runs[:, None], sup] < self.room[sup]).all(axis=1)
+                if keep is not None:
+                    ok &= coins[runs, t, j] < keep[j]
+                runs, j, sup = runs[ok], j[ok], sup[ok]
+                s = scen[runs, j]
+                usage[runs[:, None], sup] += self.bit_tab[j, s]
+                weight[runs] += self.w_tab[j, s]
+                added[runs, j] = t
+                events[runs] += 1
+        return added, usage[:, :m], weight, events
+
+    def _walk(self, draws, keeps, b=0):
+        """Run b of `draws`, simulated as `_pass` does, as a ProbeOutcome."""
+        tau, orders, coins, scen = (a[b].tolist() for a in draws)
+        support, bits, sweights, caps = self.support, self.bits, self.sweights, self.caps
+        usage = [0] * self.inst.m
+        added = [-1] * len(tau)
+        wsum = 0.0
+        for t, (order, coins_t, keep_t) in enumerate(zip(orders, coins, keeps)):
+            for j in order:
+                if tau[j] != t:
+                    continue
+                safe = True
+                for i in support[j]:
+                    if usage[i] > caps[i]:
+                        safe = False
+                        break
+                if not safe:
+                    continue
+                if keep_t is not None and coins_t[j] >= keep_t[j]:
+                    continue
+                s = scen[j]
+                for i, bit in zip(support[j], bits[j][s]):
+                    usage[i] += bit
+                wsum += sweights[j][s]
+                added[j] = t
+        return ProbeOutcome(tuple(added), wsum, tuple(usage))
 
 
 def default_sim_budget(inst, x, schedule):
@@ -386,16 +442,17 @@ class MultiChanceSampler:
         self.keeps = keeps
 
     def _estimate_chance(self, t, keeps_prefix, rng):
-        n = self.engine.inst.n
-        counts = [0] * n
+        engine = self.engine
+        counts = np.zeros(engine.inst.n, dtype=np.int64)
         yp = self.yp_full[: t + 1]
         keeps = list(keeps_prefix[:t]) + [None]
         left = self.sim_budget
         while left > 0:
             b = min(left, _CHUNK)
-            self.engine.run_chunk(yp, keeps, b, rng, record_chance=t, counts=counts)
+            added = engine._pass(engine._draw(yp, b, rng), keeps)[0]
+            counts += (added == t).sum(axis=0)
             left -= b
-        return np.asarray(counts, dtype=float) / self.sim_budget
+        return counts / self.sim_budget
 
     def _keep_row(self, t, est):
         row = []
@@ -421,40 +478,31 @@ class MultiChanceSampler:
         return row
 
     def trial(self, rng):
-        outcomes = []
-        self.engine.run_chunk(self.yp_full, self.keeps, 1, rng, outcomes=outcomes)
-        return outcomes[0]
+        engine = self.engine
+        return engine._walk(engine._draw(self.yp_full, 1, rng), self.keeps)
 
     def chance_tally(self, trials, rng, batch=10_000):
         """Aggregate many trials without keeping them: per-(chance, item)
         add counts, capacity violations, and double-add violations.
 
-        Mutual exclusivity is checked per trial: the count of items
-        added anywhere must equal the count of distinct items added.
+        Mutual exclusivity is checked per trial: the pass's count of add
+        events must equal the count of distinct items added.
         Returns (counts array of shape (T, n), violations, double_adds).
         """
-        T = self.schedule.T
-        n = self.engine.inst.n
-        counts = np.zeros((T, n), dtype=np.int64)
+        engine = self.engine
+        counts = np.zeros((self.T, engine.inst.n), dtype=np.int64)
         violations = 0
         double_adds = 0
-        caps = self.engine.inst.capacities
+        caps = np.asarray(engine.inst.capacities)
         left = trials
         while left > 0:
             b = min(left, batch)
-            outcomes = []
-            self.engine.run_chunk(self.yp_full, self.keeps, b, rng,
-                                  outcomes=outcomes)
-            for out in outcomes:
-                added = 0
-                for j, t in enumerate(out.added_chance):
-                    if t >= 0:
-                        counts[t, j] += 1
-                        added += 1
-                if added != len(out.chosen):
-                    double_adds += 1
-                if any(u > c for u, c in zip(out.usage, caps)):
-                    violations += 1
+            added, usage, _, events = engine._pass(
+                engine._draw(self.yp_full, b, rng), self.keeps)
+            for t in range(self.T):
+                counts[t] += (added == t).sum(axis=0)
+            double_adds += int((events != (added >= 0).sum(axis=1)).sum())
+            violations += int((usage > caps).any(axis=1).sum())
             left -= b
         return counts, violations, double_adds
 

@@ -264,7 +264,10 @@ class UfpCrScheme:
         net = self.net
         sampled = rng.random((B, net.n_demands)) < self.sample_p
         coins = rng.random((B, net.n_demands))
-        usage = np.zeros((B, net.n_vertices), dtype=np.int64)
+        # a demand is routed only where every edge has room, so usage
+        # never exceeds the largest capacity
+        usage = np.zeros((B, net.n_vertices),
+                         dtype=np.min_scalar_type(int(self.caps.max())))
         eta = np.zeros(net.n_demands)
         keep = np.zeros(net.n_demands)
         for i in self.order:

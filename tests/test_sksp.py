@@ -1,11 +1,14 @@
 """Stochastic probing: schedules, the engine, attenuation, exclusivity."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import sparsepack.cli as cli
 from sparsepack.errors import AttenuationError, ParamError, ValidationError
+from sparsepack.harness import gen_sksp_instance
 from sparsepack.lp import solve_packing_lp
 from sparsepack.montecarlo import binomial_stderr, trial_rng
 from sparsepack.sksp import (ChanceSchedule, MultiChanceSampler, SkspInstance,
@@ -228,6 +231,28 @@ def test_chance_tally_sees_no_double_adds_or_violations():
     assert double_adds == 0
 
 
+def test_chance_tally_counts_a_double_add_the_pass_reports(monkeypatch):
+    # Each item is eligible in one chance only, so a real pass never adds
+    # an item twice; hand the tally a pass whose first run reports one
+    # add event more than it has distinct added items.
+    inst = disjoint_instance(3, k=2)
+    sched = compute_schedule(1, inst.k)
+    sampler = MultiChanceSampler(inst, [1.0] * 3, sched, trial_rng(4, 0),
+                                 attenuate_last=False)
+    honest = sampler.engine._pass
+
+    def doubled(draws, keeps):
+        added, usage, weight, events = honest(draws, keeps)
+        events[0] += 1
+        return added, usage, weight, events
+
+    monkeypatch.setattr(sampler.engine, "_pass", doubled)
+    _, violations, double_adds = sampler.chance_tally(250, trial_rng(4, 1),
+                                                      batch=100)
+    assert violations == 0
+    assert double_adds == 3  # one per batch of 100, 100 and 50
+
+
 def test_attenuation_flattens_per_chance_rates():
     # Disjoint deterministic items with ample capacity: the only
     # randomness is the coin cascade, and attenuation should pin the
@@ -333,6 +358,35 @@ def test_run_multichance_is_reproducible():
                                      sim_budget=5_000)
         outcomes.append(sampler.trial(rng))
     assert outcomes[0] == outcomes[1]
+
+
+# Recorded before the engine was vectorised; the draws, the pools and
+# the trials must not move.
+GOLDEN_REPORT_SHA256 = (
+    "444c35eaeb9d642802e09dca52e3b6398319da5707de4a3b7105f6c82396b804")
+GOLDEN_ESTIMATES_SHA256 = (
+    "9f0aeb37f9f21bd27d260d772457c985cca76ec354b2930c3bcaedeea7dd70bc")
+
+
+def test_round_sksp_report_bytes_are_pinned(tmp_path, capsys):
+    inst, report = tmp_path / "sksp.json", tmp_path / "report.json"
+    assert cli.main(["gen", "sksp", "--n", "10", "--m", "6", "--k", "3",
+                     "--seed", "2", "-o", str(inst)]) == 0
+    assert cli.main(["round", "sksp", "--instance", str(inst),
+                     "--trials", "2000", "--seed", "7", "--chances", "3",
+                     "--sim-budget", "20000", "--json", str(report)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_REPORT_SHA256
+
+
+def test_probe_estimates_are_pinned():
+    # Two estimated chances, so the second pool runs the first attenuated.
+    inst = gen_sksp_instance(10, 6, 3, 3, seed=2)
+    sched = ChanceSchedule(alphas=(1.0, 0.5), betas=(0.5, 0.05))
+    sampler = MultiChanceSampler(inst, solve_sksp_lp(inst).x, sched,
+                                 trial_rng(2, 0), sim_budget=20_000)
+    digest = hashlib.sha256(sampler.probe_estimates.tobytes()).hexdigest()
+    assert digest == GOLDEN_ESTIMATES_SHA256
 
 
 # ---------------------------------------------------------------------------
