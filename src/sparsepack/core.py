@@ -54,6 +54,17 @@ class PackingInstance:
         return tuple(tuple(i for i, a in col if a > 0.5) for col in self.columns)
 
     @cached_property
+    def bigs_on_row(self):
+        """For each row i, the frozenset of items big on it.  Its total
+        size is the number of big entries, so it never outgrows the
+        instance; a trial intersects it with its own item set."""
+        rows = [[] for _ in range(self.m)]
+        for j, big in enumerate(self.big_rows):
+            for i in big:
+                rows[i].append(j)
+        return tuple(frozenset(items) for items in rows)
+
+    @cached_property
     def validation(self):
         """The structural check of `validate_instance`, made once per
         instance: it is frozen, and every rounder asks again.
@@ -168,17 +179,27 @@ def usage_vector(inst, chosen):
 
 
 def check_feasible(inst, chosen):
-    """True iff every row load is within capacity (+1e-9)."""
-    chosen = frozenset(chosen)
-    for j in chosen:
-        if not (0 <= j < inst.n):
+    """True iff every row load is within capacity (+1e-9).
+
+    Only the rows `chosen` touches are summed, in the order
+    `usage_vector` sums them, so a load lands on exactly the same float;
+    an untouched row holds load 0 against a capacity of at least 1."""
+    n, columns, capacities = inst.n, inst.columns, inst.capacities
+    load = {}
+    for j in frozenset(chosen):
+        if not (0 <= j < n):
             raise ValidationError(f"item {j} out of range")
-    u = usage_vector(inst, chosen)
-    return bool(np.all(u <= np.asarray(inst.capacities) + FEAS_TOL))
+        for i, a in columns[j]:
+            load[i] = load.get(i, 0.0) + a
+    for i, u in load.items():
+        if not (u <= capacities[i] + FEAS_TOL):
+            return False
+    return True
 
 
 def objective_value(inst, chosen):
-    return float(sum(inst.weights[j] for j in chosen))
+    weights = inst.weights
+    return float(sum([weights[j] for j in chosen]))
 
 
 # ---------------------------------------------------------------------------

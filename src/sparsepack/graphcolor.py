@@ -19,36 +19,43 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DegreeError, InternalInvariantError, ValidationError
 
 
 @dataclass(frozen=True)
 class DiGraph:
-    """Adjacency-list digraph; out[v] lists the out-neighbors of v."""
+    """Adjacency-list digraph; out[v] lists the out-neighbors of v.
+
+    `neighbours[v]` maps each neighbour u of v, direction ignored, to the
+    number of arcs between the two.  It is built once, with the checks,
+    and peeling and coloring share it.
+    """
 
     n: int
     out: tuple
+    neighbours: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n != len(self.out):
             raise ValidationError("out-list count disagrees with n")
+        adj = [{} for _ in range(self.n)]
         for v, nbrs in enumerate(self.out):
+            av = adj[v]
             for u in nbrs:
                 if u == v:
                     raise ValidationError(f"self-loop at {v}")
                 if not (0 <= u < self.n):
                     raise ValidationError(f"arc ({v},{u}) out of range")
+                arcs = 2 if u in av else 1   # 2: the arc u -> v came first
+                av[u] = arcs
+                adj[u][v] = arcs
+        object.__setattr__(self, "neighbours", adj)
 
     def undirected_adjacency(self):
         """Neighbor sets ignoring direction (deduplicated)."""
-        adj = [set() for _ in range(self.n)]
-        for v, nbrs in enumerate(self.out):
-            for u in nbrs:
-                adj[v].add(u)
-                adj[u].add(v)
-        return adj
+        return [set(nbrs) for nbrs in self.neighbours]
 
 
 def make_digraph(n, arcs):
@@ -70,38 +77,40 @@ class Coloring:
 def peel_order(g):
     """Vertices in repeated minimum-total-degree removal order.
 
-    Ties break toward the lowest vertex index.  Uses a lazy heap; stale
-    entries are skipped because degrees only decrease.
+    Ties break toward the lowest vertex index, so the vertices that
+    start isolated come first, in index order; the rest go through a
+    lazy heap whose stale entries are skipped because degrees only
+    decrease.
     """
-    adj = g.undirected_adjacency()
     # total degree counts arc multiplicity in both directions
-    deg = [0] * g.n
-    for v, nbrs in enumerate(g.out):
-        deg[v] += len(nbrs)
+    deg = list(map(len, g.out))
+    for nbrs in g.out:
         for u in nbrs:
             deg[u] += 1
-    heap = [(deg[v], v) for v in range(g.n)]
+    order = [v for v, dv in enumerate(deg) if not dv]
+    if len(order) == g.n:
+        return order
+    adj = g.neighbours
+    heap = [(dv, v) for v, dv in enumerate(deg) if dv]
     heapq.heapify(heap)
     removed = [False] * g.n
-    order = []
     while heap:
         dv, v = heapq.heappop(heap)
         if removed[v] or dv != deg[v]:
             continue
         removed[v] = True
         order.append(v)
-        for u in adj[v]:
+        for u, arcs in adj[v].items():
             if not removed[u]:
                 # losing v costs u every arc between them
-                drop = (u in g.out[v]) + (v in g.out[u])
-                deg[u] -= drop
+                deg[u] -= arcs
                 heapq.heappush(heap, (deg[u], u))
     return order
 
 
 def _check_degree(g, d):
-    bad = [v for v, nbrs in enumerate(g.out) if len(nbrs) > d]
-    if bad:
+    if max(map(len, g.out), default=0) > d:
+        bad = [v for v, nbrs in enumerate(g.out) if len(nbrs) > d]
         raise DegreeError(f"out-degree above {d} at vertices {bad[:5]}")
 
 
@@ -113,10 +122,15 @@ def _greedy_color(g, d, palette, spread, rng):
     many free colors, so a shortfall is a broken invariant and raises.
     """
     _check_degree(g, d)
-    adj = g.undirected_adjacency()
+    adj = g.neighbours
     colors = [-1] * g.n
+    color_of = colors.__getitem__
     for v in reversed(peel_order(g)):
-        used = {colors[u] for u in adj[v] if colors[u] >= 0}
+        if not adj[v]:
+            # every color is free: the smallest, or a draw among `spread`
+            colors[v] = 0 if rng is None else int(rng.integers(spread))
+            continue
+        used = set(map(color_of, adj[v]))   # -1: not colored yet
         avail = []
         for c in range(palette):
             if c not in used:

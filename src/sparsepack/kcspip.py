@@ -36,9 +36,11 @@ two per row, and a surviving tiny item certifies its whole row fits.
 then items with a big blocking event with respect to the survivor set
 are removed deterministically instead of the digraph machinery.
 
-The classes are decided once: `PackingInstance.big_rows` holds each
-item's big rows, and `_soft_entries`, built once per rounder, each
-item's medium and tiny entries.
+The classes are decided once.  `PackingInstance.big_rows` holds each
+item's big rows and `PackingInstance.bigs_on_row` each row's big items;
+`_soft_entries`, built once per rounder, splits each item's other
+entries into medium and tiny.  A trial only intersects these tables
+with its own item sets.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +64,6 @@ from .graphcolor import (
     DiGraph,
     color_directed_graph,
     color_neg_corr,
-    make_digraph,
     neg_corr_palette,
     peel_order,
 )
@@ -134,43 +136,71 @@ def sample_probabilities(inst, x, params):
 def _sample(p, rng):
     """One independent Bernoulli draw of the initial set: item j enters
     with probability p_j."""
-    return frozenset(np.nonzero(rng.random(p.size) < p)[0].tolist())
+    return frozenset((rng.random(p.size) < p).nonzero()[0].tolist())
+
+
+class _Soft(NamedTuple):
+    """The medium and tiny entries of every item, split once per rounder."""
+
+    med: tuple          # per item, the rows where it is medium
+    tiny: tuple         # per item, the rows where it is tiny
+    entries: tuple      # per item, its medium and tiny (row, a) pairs
+    tiny_items: frozenset   # the items with a tiny entry
+    m: int              # the row count
 
 
 def _soft_entries(inst, ell):
-    """For each item, its medium and tiny entries as (row, a, medium)
-    triples in column order, medium meaning a >= 1/ell; entries on the
-    item's big rows are left out.  This is the one place the 1/ell
-    threshold is applied."""
+    """Each item's medium and tiny entries, medium meaning a >= 1/ell;
+    entries on the item's big rows are left out.  This is the one place
+    the 1/ell threshold is applied."""
     if ell < 3:
         raise ParamError(f"ell={ell} below 3")
     lo = 1.0 / ell
-    return tuple(
-        tuple((i, a, a >= lo) for i, a in col if i not in big)
+    entries = tuple(
+        tuple((i, a) for i, a in col if i not in big)
         for col, big in zip(inst.columns, inst.big_rows)
     )
+    med = tuple(tuple(i for i, a in e if a >= lo) for e in entries)
+    tiny = tuple(tuple(i for i, a in e if a < lo) for e in entries)
+    return _Soft(med, tiny, entries,
+                 frozenset(j for j, rows in enumerate(tiny) if rows), inst.m)
 
 
 def _discard(soft, sampled):
-    """Survivors of the simultaneous medium/tiny discard step."""
-    med_count = {}
-    soft_load = {}
+    """Survivors of the simultaneous medium/tiny discard step.
+
+    A row blocks its medium items once it holds three sampled mediums,
+    and its tiny items once it holds two, or once its medium-plus-tiny
+    load exceeds 1.  Loads are summed only when a tiny item is sampled,
+    in the order `sampled` lists its items.
+    """
+    med, tiny, entries, tiny_items, m = soft
+    count = [0] * m
     for j in sampled:
-        for i, a, medium in soft[j]:
-            med_count[i] = med_count.get(i, 0) + medium
-            soft_load[i] = soft_load.get(i, 0.0) + a
-    survivors = set()
-    for j in sampled:
-        for i, _, medium in soft[j]:
-            if medium:
-                if med_count[i] >= 3:
-                    break
-            # sum_{j' != j} a_ij' > 1 - a_ij  <=>  row soft load > 1
-            elif med_count[i] >= 2 or soft_load[i] > 1.0:
-                break
-        else:
-            survivors.add(j)
-    return frozenset(survivors)
+        for i in med[j]:
+            count[i] += 1
+    blocked = {j for j in sampled for i in med[j] if count[i] >= 3}
+    sampled_tiny = tiny_items.intersection(sampled)
+    if sampled_tiny:
+        load = [0.0] * m
+        for j in sampled:
+            for i, a in entries[j]:
+                load[i] += a
+        # sum_{j' != j} a_ij' > 1 - a_ij  <=>  row soft load > 1
+        blocked.update([j for j in sampled_tiny for i in tiny[j]
+                        if count[i] >= 2 or load[i] > 1.0])
+    # Built by adding in `sampled` order: the layout of this frozenset
+    # fixes the float order in which bkns's output weights are summed.
+    return frozenset({j for j in sampled if j not in blocked})
+
+
+def _checked_items(inst, items):
+    """`items` as a frozenset, once every id in it names an item."""
+    items = frozenset(items)
+    for j in items:
+        if not (0 <= j < inst.n):
+            raise ValidationError(f"item {j} out of range")
+    return items
 
 
 def discard_blocked(inst, sampled, ell):
@@ -179,34 +209,24 @@ def discard_blocked(inst, sampled, ell):
     All predicates are evaluated against the full sampled set at once;
     removals never trigger further removals.
     """
-    sampled = frozenset(sampled)
-    for j in sampled:
-        if not (0 <= j < inst.n):
-            raise ValidationError(f"item {j} out of range")
-    return _discard(_soft_entries(inst, ell), sampled)
+    return _discard(_soft_entries(inst, ell), _checked_items(inst, sampled))
 
 
-def _bigs_by_row(inst, items):
-    """Row -> the members of `items` that are big on it, in the order
-    `items` lists them."""
-    big_in = {}
-    big_rows = inst.big_rows
-    for j in items:
-        for i in big_rows[j]:
-            big_in.setdefault(i, []).append(j)
-    return big_in
-
-
-def _big_blocked(inst, survivors):
+def _big_blocked(inst, soft, survivors):
     """Items of `survivors` blocked by another big survivor on a shared row."""
-    big_in = _bigs_by_row(inst, survivors)
+    bigs_on_row = inst.bigs_on_row
     blocked = set()
     for j in survivors:
-        for i, _ in inst.columns[j]:
-            bigs = big_in.get(i)
-            if bigs and (len(bigs) >= 2 or bigs[0] != j):
+        # any big survivor blocks j on a row where j is not big itself
+        for i, _ in soft.entries[j]:
+            if not survivors.isdisjoint(bigs_on_row[i]):
                 blocked.add(j)
                 break
+        else:
+            for i in inst.big_rows[j]:
+                if len(bigs_on_row[i] & survivors) > 1:
+                    blocked.add(j)
+                    break
     return frozenset(blocked)
 
 
@@ -214,27 +234,32 @@ def build_conflict_digraph(inst, survivors):
     """Digraph on sorted(survivors): arc (j, j') iff some row has
     a_ij > 0 and a_ij' > 1/2.  Vertex t stands for the t-th smallest
     surviving item."""
-    items = sorted(survivors)
-    index = {j: t for t, j in enumerate(items)}
-    big_in = _bigs_by_row(inst, items)
-    arcs = []
+    alive = frozenset(survivors)
+    items = sorted(alive)
+    index = dict(zip(items, range(len(items))))
+    bigs_on_row = inst.bigs_on_row
+    columns = inst.columns
+    out = []
     for j in items:
         hit = set()
-        for i, _ in inst.columns[j]:
-            for jp in big_in.get(i, ()):
-                if jp != j:
-                    hit.add(jp)
-        for jp in sorted(hit):
-            arcs.append((index[j], index[jp]))
-    return make_digraph(len(items), arcs)
+        for i, _ in columns[j]:
+            hit |= bigs_on_row[i] & alive
+        hit.discard(j)
+        if len(hit) > 1:
+            out.append(tuple(sorted([index[jp] for jp in hit])))
+        else:
+            out.append((index[hit.pop()],) if hit else ())
+    return DiGraph(n=len(items), out=tuple(out))
 
 
 def remove_anomalous(g, d):
     """Vertices with out-degree at most d, measured once in g itself."""
-    return frozenset(v for v, nbrs in enumerate(g.out) if len(nbrs) <= d)
+    return frozenset([v for v, nbrs in enumerate(g.out) if len(nbrs) <= d])
 
 
 def _induced(g, keep):
+    if len(keep) == g.n:
+        return g, range(g.n)
     keep = sorted(keep)
     index = {v: t for t, v in enumerate(keep)}
     out = []
@@ -293,8 +318,7 @@ class KcsRounder:
         coloring = self._color(sub, rng)
         chosen_color = int(rng.integers(self.palette))
         return frozenset(
-            items[v] for v, c in enumerate(coloring.colors) if c == chosen_color
-        )
+            [items[v] for v, c in enumerate(coloring.colors) if c == chosen_color])
 
 
 class BknsRounder:
@@ -313,7 +337,7 @@ class BknsRounder:
 
     def trial(self, rng):
         survivors = _discard(self.soft, _sample(self.p, rng))
-        return survivors - _big_blocked(self.inst, survivors)
+        return survivors - _big_blocked(self.inst, self.soft, survivors)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +385,9 @@ def conditional_inclusion_probabilities(inst, params, sampled):
     Equals 1/palette for items surviving the deterministic middle of the
     pipeline and 0 otherwise.
     """
+    sampled = _checked_items(inst, sampled)
     rounder = KcsRounder(inst, np.zeros(inst.n), params)
-    items, _ = rounder.survivors(frozenset(sampled))
+    items, _ = rounder.survivors(sampled)
     out = np.zeros(inst.n)
     for j in items:
         out[j] = 1.0 / rounder.palette
@@ -375,7 +400,7 @@ def _coloring_distribution(sub, params):
         coloring = color_directed_graph(sub, params.d)
         return [(1.0, coloring.colors)]
     palette, spread = neg_corr_palette(params.d, params.epsilon)
-    adj = sub.undirected_adjacency()
+    adj = sub.neighbours
     order = list(reversed(peel_order(sub)))
     results = []
 

@@ -6,6 +6,7 @@ definitions with no shared code, over every subset of a purpose-built
 instance that has all three coefficient classes interacting.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -21,7 +22,8 @@ from sparsepack.kcspip import (BknsRounder, KcsParams, KcsRounder,
                                exact_inclusion_probabilities,
                                exact_pairwise_probabilities, instance_k,
                                remove_anomalous, sample_probabilities)
-from sparsepack.harness import gen_random_kcs
+from sparsepack import cli
+from sparsepack.harness import gen_gap_instance, gen_random_kcs
 from sparsepack.lp import solve_packing_lp
 from sparsepack.montecarlo import binomial_stderr, trial_rng
 
@@ -195,6 +197,13 @@ def test_discard_soft_load_blocks_tiny():
     assert discard_blocked(inst, {0, 1, 2}, ell=4) == {0, 1, 2}
 
 
+def test_discard_keeps_tiny_items_at_a_soft_load_of_exactly_one():
+    # 0.5 + 4 * 0.125 sums to 1 exactly; the rule is a strict "> 1".
+    inst = make_instance([1.0], [1.0] * 6, [[(0, 0.5)]] + [[(0, 0.125)]] * 5)
+    assert discard_blocked(inst, range(5), ell=4) == frozenset(range(5))
+    assert discard_blocked(inst, range(6), ell=4) == {0}
+
+
 def test_discard_ignores_big_entries(mixed_class_instance):
     # Bigness never blocks at this stage: 0 and 3 are both big on row 1.
     assert discard_blocked(mixed_class_instance, {0, 3}, ell=4) == {0, 3}
@@ -348,6 +357,15 @@ def test_conditional_probabilities_are_uniform_over_survivors(
         assert cond[j] == pytest.approx(expected, abs=1e-15)
 
 
+@pytest.mark.parametrize("item", [-1, 5])
+def test_conditional_inclusion_rejects_unknown_items(item):
+    # -1 would otherwise read as the last item, and n as an IndexError.
+    inst = gen_gap_instance(3)
+    params = KcsParams.defaults(3)
+    with pytest.raises(ValidationError, match="out of range"):
+        conditional_inclusion_probabilities(inst, params, {item})
+
+
 def test_conditional_inclusion_not_monotone_when_discard_resurrects_bigs():
     """Shrinking the sampled set can hurt an item: dropping one of three
     row-sharing mediums un-blocks the other two, and a resurrected big
@@ -424,3 +442,31 @@ def test_pairwise_diagonal_carries_marginals(mixed_class_instance, epsilon):
         for v in range(6):
             if u != v:
                 assert joint[u, v] <= min(marginals[u], marginals[v]) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Report bytes
+
+# sha256 of the --json report of `round <alg> <flags> --trials 5000
+# --seed 11` on `gen kcs --n 40 --m 16 --k 3 --seed 4`: two chunks, the
+# second one partial.  The per-trial path may change how it computes,
+# never what it draws or reports.
+GOLDEN_REPORTS_SHA256 = {
+    ("kcspip",): "0873233c039f5e5260f72b92109eacbbe989ff9b7b71d1cdb54cdb21c8c28f7e",
+    ("kcspip", "--epsilon", "0.5"):
+        "305db5b004c89207c0f495bca83bb3b9907b2c6c79bef7f0e7e5e007193fd10a",
+    ("bkns",): "d548d38bab7b6e2f5b01dca965f7f955372986866fa59ef790e049663ab69663",
+}
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_REPORTS_SHA256))
+def test_round_report_bytes_are_pinned(run, tmp_path, capsys):
+    inst, report = tmp_path / "kcs.json", tmp_path / "report.json"
+    assert cli.main(["gen", "kcs", "--n", "40", "--m", "16", "--k", "3",
+                     "--seed", "4", "-o", str(inst)]) == 0
+    alg, *flags = run
+    assert cli.main(["round", alg, "--instance", str(inst), "--trials", "5000",
+                     "--seed", "11", *flags, "--json", str(report)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digest == GOLDEN_REPORTS_SHA256[run]

@@ -1,6 +1,7 @@
 """Properties of the coefficient classes on random small instances
 (hypothesis): the conflict digraph and bkns's big-blocking against their
-definitions, the strengthening rows, and feasibility of every output.
+definitions, the strengthening rows, feasibility of every output, and
+the sparse feasibility check against the dense one.
 
 Coefficients are drawn with the thresholds 1/2 and 1/ell themselves, and
 values just either side of them, over-represented.
@@ -9,7 +10,8 @@ values just either side of them, over-represented.
 import numpy as np
 import pytest
 
-from sparsepack.core import check_feasible, make_instance
+from sparsepack.core import (FEAS_TOL, check_feasible, make_instance,
+                             usage_vector)
 from sparsepack.kcspip import (BknsRounder, KcsParams, KcsRounder,
                                build_conflict_digraph, discard_blocked)
 from sparsepack.lp import build_relaxation
@@ -25,10 +27,10 @@ COEFFICIENTS = (st.sampled_from([0.5, 1.0 / ELL, 0.51, 0.2499, 1.0])
 
 
 @st.composite
-def instances(draw):
+def instances(draw, coefficients=COEFFICIENTS):
     m = draw(st.integers(1, 4))
     columns = [
-        [(i, draw(COEFFICIENTS)) for i in rows]
+        [(i, draw(coefficients)) for i in rows]
         for rows in draw(st.lists(
             st.lists(st.integers(0, m - 1), max_size=min(m, K), unique=True),
             min_size=1, max_size=8))
@@ -112,3 +114,20 @@ def test_every_rounder_output_is_feasible(data):
     for rounder in rounders:
         for _ in range(20):
             assert check_feasible(inst, rounder.trial(rng))
+
+
+@hypothesis.given(st.data())
+def test_check_feasible_equals_the_dense_check(data):
+    # Quarters sum to the capacities 1 and 1.5 exactly, so loads that
+    # sit right at capacity are drawn often.
+    quarters = st.sampled_from([0.25, 0.5, 0.75, 1.0])
+    inst = data.draw(instances() | instances(quarters))
+    chosen = data.draw(item_sets(inst))
+    load = usage_vector(inst, chosen)
+    # the same instance with each overloaded row's capacity raised to its
+    # load, so those rows sit exactly at capacity
+    tight = make_instance(np.maximum(load, inst.capacities), inst.weights,
+                          inst.columns, k=inst.k)
+    for case in (inst, tight):
+        dense = load <= np.asarray(case.capacities) + FEAS_TOL
+        assert check_feasible(case, chosen) == bool(np.all(dense))
