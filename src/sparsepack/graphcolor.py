@@ -42,6 +42,8 @@ class DiGraph:
             raise ValidationError("out-list count disagrees with n")
         adj = [{} for _ in range(self.n)]
         for v, nbrs in enumerate(self.out):
+            if len(nbrs) > 1 and len(set(nbrs)) != len(nbrs):
+                raise ValidationError(f"out-list of {v} repeats a vertex")
             av = adj[v]
             for u in nbrs:
                 if u == v:

@@ -37,8 +37,8 @@ from .core import (FEAS_TOL, PackingInstance, check_feasible, load_instance,
                    make_instance, objective_value, require_valid)
 from .errors import (InternalInvariantError, ParamError, SizeError,
                      ValidationError)
-from .hypermatch import (HmRounder, attenuation_g, is_matching,
-                         load_hypergraph, make_hypergraph, matching_weight,
+from .hypermatch import (HmRounder, attenuation_g, load_hypergraph,
+                         make_hypergraph, matching_weight,
                          require_valid_hypergraph, theoretical_bound)
 from .kcspip import (EXACT_MARGINAL_CAP, BknsRounder, KcsParams, KcsRounder,
                      instance_k)
@@ -51,6 +51,7 @@ from .ufptree import (UfpCrScheme, UfpParams, edge_usage, load_tree, make_tree,
 
 BRUTE_FORCE_CAP = 24
 CHUNK_TRIALS = 4096
+HM_BLOCK = 32   # trials per sweep of the hm chunk entry; sets its memory
 
 # Counter-stream module ids.  0 is the generic montecarlo default;
 # 1-5 are trial streams (the `stream` of each SCHEMES entry), 101-105 the
@@ -340,6 +341,57 @@ def _build_ufp(net, x, params, seed):
     return runner, [up.alpha * up.beta * v for v in x], notes
 
 
+def _trial_loop(evaluate):
+    """The chunk entry of a scheme whose runner draws one trial per
+    `runner.trial(rng)` call, which evaluate(instance, trial result)
+    turns into (chosen, weight, feasible)."""
+    def run_chunk(instance, runner, rng, size, n_items):
+        # A list takes `+= 1` about 5x faster than a numpy array does.
+        tally = [0] * n_items
+        obj_sum = 0.0
+        obj_sq = 0.0
+        bad = []
+        for t in range(size):
+            chosen, weight, ok = evaluate(instance, runner.trial(rng))
+            for j in chosen:
+                tally[j] += 1
+            obj_sum += weight
+            obj_sq += weight * weight
+            if not ok:
+                bad.append(t)
+        return np.array(tally, dtype=np.int64), obj_sum, obj_sq, bad
+    return run_chunk
+
+
+def _hm_chunk(h, runner, rng, size, n_items):
+    """The hm chunk entry: `runner.trials` sweeps of HM_BLOCK trials.
+
+    Feasibility is checked again from the matchings alone, as at most
+    one matched edge per (trial, vertex).  Each trial is weighed by one
+    `matching_weight` call with its edge ids in ascending order."""
+    counts = np.zeros(n_items, dtype=np.int64)
+    obj_sum = 0.0
+    obj_sq = 0.0
+    bad = []
+    width = h.m + 1
+    for lo in range(0, size, HM_BLOCK):
+        b = min(HM_BLOCK, size - lo)
+        trial, edge = runner.trials(rng, b)
+        counts += np.bincount(edge, minlength=n_items)
+        slots = h.vertex_array.take(edge, axis=1) + trial * width
+        loads = np.bincount(slots.ravel(), minlength=b * width)
+        loads[h.m::width] = 0
+        bad.extend((lo + np.unique(np.flatnonzero(loads > 1) // width)).tolist())
+        ids = edge.tolist()
+        start = 0
+        for end in np.bincount(trial, minlength=b).cumsum().tolist():
+            weight = matching_weight(h, tuple(ids[start:end]))
+            obj_sum += weight
+            obj_sq += weight * weight
+            start = end
+    return counts, obj_sum, obj_sq, bad
+
+
 def _evaluate_packing(inst, chosen):
     return chosen, objective_value(inst, chosen), check_feasible(inst, chosen)
 
@@ -347,10 +399,6 @@ def _evaluate_packing(inst, chosen):
 def _evaluate_sksp(inst, outcome):
     ok = all(u <= b for u, b in zip(outcome.usage, inst.capacities))
     return outcome.chosen, outcome.realized_weight, ok
-
-
-def _evaluate_hm(h, matched):
-    return matched, matching_weight(h, matched), is_matching(h, matched)
 
 
 def _evaluate_ufp(net, routed):
@@ -371,9 +419,12 @@ class Scheme:
     load      reads an instance file of its format
     relax     instance -> default x, the relaxation's solution
     weights   instance -> item weights; their count is the item count
-    build     (instance, x, params, seed) -> (runner, floors, notes);
-              runner.trial(rng) draws one trial result
-    evaluate  (instance, trial result) -> (chosen, weight, feasible)
+    build     (instance, x, params, seed) -> (runner, floors, notes)
+    run_chunk (instance, runner, rng, size, n_items) -> (counts, objective
+              sum, objective sum of squares, infeasible trial offsets)
+              for `size` trials drawn from rng.  hm sweeps blocks of
+              trials (`_hm_chunk`); the other schemes call
+              runner.trial(rng) once per trial (`_trial_loop`).
     """
 
     stream: int
@@ -381,7 +432,7 @@ class Scheme:
     relax: Callable
     weights: Callable
     build: Callable
-    evaluate: Callable
+    run_chunk: Callable
 
 
 def _strengthened_lp(inst):
@@ -390,21 +441,21 @@ def _strengthened_lp(inst):
 
 SCHEMES = {
     "kcspip": Scheme(1, load_instance, _strengthened_lp, lambda inst: inst.weights,
-                     _build_kcspip, _evaluate_packing),
+                     _build_kcspip, _trial_loop(_evaluate_packing)),
     "bkns": Scheme(2, load_instance, _strengthened_lp, lambda inst: inst.weights,
-                   _build_bkns, _evaluate_packing),
+                   _build_bkns, _trial_loop(_evaluate_packing)),
     "sksp": Scheme(3, load_sksp, lambda inst: solve_sksp_lp(inst).x,
                    lambda inst: [it.expected_weight for it in inst.items],
-                   _build_sksp, _evaluate_sksp),
+                   _build_sksp, _trial_loop(_evaluate_sksp)),
     "hm": Scheme(4, load_hypergraph,
                  lambda h: solve_packing_lp(hypergraph_lp_instance(h),
                                             strengthen=False).x,
-                 lambda h: [w for _, w in h.edges], _build_hm, _evaluate_hm),
+                 lambda h: h.weights, _build_hm, _hm_chunk),
     "ufp": Scheme(5, load_tree,
                   lambda net: solve_packing_lp(tree_lp_instance(net),
                                                strengthen=False).x,
                   lambda net: [w for _, _, w in net.demands],
-                  _build_ufp, _evaluate_ufp),
+                  _build_ufp, _trial_loop(_evaluate_ufp)),
 }
 ALGORITHMS = tuple(sorted(SCHEMES))
 
@@ -416,30 +467,21 @@ def _run_chunks(payload):
     entry, whose functions need not pickle."""
     alg, runner, instance, n_items, seed, trials, chunk_ids = payload
     scheme = SCHEMES[alg]
-    evaluate = scheme.evaluate
-    # A list takes `+= 1` about 5x faster than a numpy array does.
-    tally = [0] * n_items
+    tally = np.zeros(n_items, dtype=np.int64)
     violations = 0
     flagged = []
     obj_parts = []
     for c in chunk_ids:
         rng = trial_rng(seed, c, module=scheme.stream)
         lo = c * CHUNK_TRIALS
-        hi = min(trials, lo + CHUNK_TRIALS)
-        obj_sum = 0.0
-        obj_sq = 0.0
-        for t in range(lo, hi):
-            chosen, weight, ok = evaluate(instance, runner.trial(rng))
-            for j in chosen:
-                tally[j] += 1
-            obj_sum += weight
-            obj_sq += weight * weight
-            if not ok:
-                violations += 1
-                if len(flagged) < 10:
-                    flagged.append((c, t - lo))
+        size = min(trials, lo + CHUNK_TRIALS) - lo
+        counts, obj_sum, obj_sq, bad = scheme.run_chunk(
+            instance, runner, rng, size, n_items)
+        tally += counts
+        violations += len(bad)
+        flagged.extend((c, off) for off in bad[:10 - len(flagged)])
         obj_parts.append((c, obj_sum, obj_sq))
-    return np.array(tally, dtype=np.int64), violations, obj_parts, flagged
+    return tally, violations, obj_parts, flagged
 
 
 def empirical_ratio(spec, x=None):

@@ -18,6 +18,10 @@ per-edge guarantee at this mark rate: it fails near x_e = 1, where a lone
 edge with x_e = 1 is matched with probability g(1) = 1/2 < 1 - 1/e.
 `exact_match_probabilities` gives the exact per-edge matching
 probabilities on hypergraphs of at most EXACT_EDGE_CAP edges.
+
+`HmRounder.trial` draws one matching; `HmRounder.trials` draws a block
+of them in one vectorised sweep, from the same draws and with the same
+matchings as that many `trial` calls.
 """
 
 from __future__ import annotations
@@ -69,13 +73,20 @@ class Hypergraph:
 
     @cached_property
     def vertex_array(self):
-        """(n, max edge size) int array of each edge's vertices, padded
-        with the sentinel m; the sweep's clash count reads it."""
+        """(max edge size, n) int array whose column j lists edge j's
+        vertices, padded with the sentinel m; the sweeps' clash counts
+        read it.  Edges run along the rows, so a sweep reduces over the
+        short axis 0 in a few vectorised passes."""
         width = max((len(vs) for vs, _ in self.edges), default=0)
-        rows = np.full((self.n, width), self.m, dtype=np.intp)
+        cols = np.full((width, self.n), self.m, dtype=np.intp)
         for j, (vs, _) in enumerate(self.edges):
-            rows[j, :len(vs)] = vs
-        return rows
+            cols[:len(vs), j] = vs
+        return cols
+
+    @cached_property
+    def weights(self):
+        """Edge weights by edge index."""
+        return tuple(w for _, w in self.edges)
 
 
 def make_hypergraph(m, edges):
@@ -126,10 +137,10 @@ def _sweep(h, marked, keys):
         return frozenset(marked)
     marked = np.asarray(marked, dtype=np.intp)
     order = marked[np.lexsort((marked, keys))]
-    rows = h.vertex_array[order]
-    hits = np.bincount(rows.ravel(), minlength=h.m + 1)
+    cols = h.vertex_array[:, order]
+    hits = np.bincount(cols.ravel(), minlength=h.m + 1)
     hits[h.m] = 0
-    clash = (hits[rows] > 1).any(axis=1)
+    clash = (hits[cols] > 1).any(axis=0)
     accept = ~clash
     edges = h.edges
     matched_vertices = set()
@@ -141,11 +152,52 @@ def _sweep(h, marked, keys):
     return frozenset(order[accept].tolist())
 
 
+def _block_sweep(h, size, trial, edge, key):
+    """`_sweep` of `size` trials at once, as a mask over the marked
+    (trial, edge) pairs with their keys: True where the trial's greedy
+    pass by (key, edge index) accepts the edge.
+
+    A pair that shares no vertex with another pair of its trial is
+    accepted outright.  The clashing pairs are resolved in rounds: accept
+    every live pair whose priority is the smallest at each of its
+    vertices, then drop the live pairs that touch a matched vertex.  Each
+    round settles at least the first live pair of every trial, and the
+    result is the sequential greedy's, ties included (Blelloch, Fineman
+    and Shun, SPAA 2012).  Arrays are O(size m + pairs)."""
+    width = h.m + 1
+    verts = h.vertex_array.take(edge, axis=1)
+    slots = verts + trial * width         # (trial, vertex) slots, (width, pairs)
+    hits = np.bincount(slots.ravel(), minlength=size * width)
+    hits[h.m::width] = 0                  # each trial's padding sentinel
+    accept = (hits.take(slots) <= 1).all(axis=0)
+    live = np.flatnonzero(~accept)
+    if live.size == 0:
+        return accept
+    # A padded entry repeats the edge's first vertex, which changes no
+    # minimum and no match.
+    slots = np.where(verts[:, live] == h.m, slots[0, live], slots[:, live])
+    rank = np.empty(live.size, dtype=np.intp)
+    rank[np.lexsort((edge[live], key[live], trial[live]))] = np.arange(live.size)
+    best = np.empty(hits.size, dtype=np.intp)
+    matched = np.zeros(hits.size, dtype=bool)
+    todo = np.arange(live.size)
+    while todo.size:
+        s, r = slots[:, todo], rank[todo]
+        best[s] = live.size
+        np.minimum.at(best, s, np.broadcast_to(r, s.shape))
+        won = (best[s] == r).all(axis=0)
+        accept[live[todo[won]]] = True
+        matched[s[:, won]] = True
+        todo = todo[~matched[s].any(axis=0)]
+    return accept
+
+
 class HmRounder:
     """Marked-edge sweep with the mark rates g(x_e) fixed up front.
 
     The constructor checks the hypergraph, the shape of x, and that
-    every rate lies in [0, 1]; `trial` then draws one matching.
+    every rate lies in [0, 1]; `trial` then draws one matching, and
+    `trials` a block of them.
     """
 
     def __init__(self, h, x, g):
@@ -167,10 +219,42 @@ class HmRounder:
         keys = rng.random(len(marked))
         return _sweep(self.h, marked, keys)
 
+    def trials(self, rng, size):
+        """`size` calls of `trial` in one sweep: the same draws from rng,
+        in the same order, and the same matchings.
+
+        Returns the matchings as two int arrays of (trial, edge) pairs,
+        sorted by trial, then by edge.  Memory grows with size times the
+        vertex count, so callers sweep long runs in blocks."""
+        n, rates = self.h.n, self.rates
+        marked, keys = [], []
+        for _ in range(size):
+            mine = np.flatnonzero(rng.random(n) < rates)
+            marked.append(mine)
+            keys.append(rng.random(mine.size))
+        trial = np.repeat(np.arange(size), [e.size for e in marked])
+        edge = np.concatenate(marked) if marked else trial
+        accept = _block_sweep(self.h, size, trial, edge,
+                              np.concatenate(keys) if keys else trial)
+        return trial[accept], edge[accept]
+
+
+_last_rounder = None   # (h, g, x key, rounder) of the latest round_matching
+
 
 def round_matching(h, x, g, rng):
-    """One randomized matching at mark rates g(x_e)."""
-    return HmRounder(h, x, g).trial(rng)
+    """One randomized matching at mark rates g(x_e).
+
+    A call with the same h and g objects as the previous one, and an
+    equal x (same shape and float64 bytes), reuses its rounder: on small
+    hypergraphs building one costs more than the trial."""
+    global _last_rounder
+    x = np.asarray(x, dtype=float)
+    key = (x.shape, x.tobytes())
+    last = _last_rounder
+    if last is None or last[0] is not h or last[1] is not g or last[2] != key:
+        last = _last_rounder = (h, g, key, HmRounder(h, x, g))
+    return last[3].trial(rng)
 
 
 def exact_match_probabilities(h, x, g):
@@ -202,7 +286,7 @@ def exact_match_probabilities(h, x, g):
 
 
 def matching_weight(h, edge_ids):
-    return float(sum(h.edges[j][1] for j in edge_ids))
+    return float(sum(map(h.weights.__getitem__, edge_ids)))
 
 
 # ---------------------------------------------------------------------------

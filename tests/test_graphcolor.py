@@ -34,6 +34,15 @@ def test_digraph_rejects_self_loops_and_bad_arcs():
         DiGraph(n=3, out=((), ()))
 
 
+def test_digraph_rejects_a_repeated_out_neighbour():
+    # A repeat is one arc, not the two arcs of a mutual pair.
+    with pytest.raises(ValidationError, match="repeats"):
+        DiGraph(n=3, out=((1, 1), (), ()))
+    with pytest.raises(ValidationError, match="repeats"):
+        DiGraph(n=3, out=((), (2, 0, 2), ()))
+    assert DiGraph(n=3, out=((1,), (0,), ())).neighbours[0] == {1: 2}
+
+
 def test_undirected_adjacency_merges_directions():
     g = make_digraph(3, [(0, 1), (1, 0), (1, 2)])
     assert g.undirected_adjacency() == [{1}, {0, 2}, {1}]

@@ -8,16 +8,17 @@ import pytest
 
 from sparsepack.core import check_feasible, make_instance, objective_value
 from sparsepack.errors import ParamError, SizeError, ValidationError
-from sparsepack.harness import (BRUTE_FORCE_CAP, CHUNK_TRIALS, ExperimentSpec,
-                                brute_force_opt, empirical_ratio,
-                                format_report, gen_gap_instance,
+from sparsepack.harness import (BRUTE_FORCE_CAP, CHUNK_TRIALS, HM_BLOCK,
+                                ExperimentSpec, brute_force_opt,
+                                empirical_ratio, format_report,
+                                gen_gap_instance,
                                 gen_random_hypergraph, gen_random_kcs,
                                 gen_random_tree, gen_sksp_instance,
                                 hypergraph_lp_instance, kcspip_ratio_trend,
                                 mc_inclusion_kcspip, report_to_dict,
                                 report_to_json, write_report_csv,
                                 write_report_json)
-from sparsepack.hypermatch import Hypergraph
+from sparsepack.hypermatch import HmRounder, Hypergraph
 from sparsepack.kcspip import (KcsParams, exact_inclusion_probabilities,
                                instance_k)
 from sparsepack.lp import solve_packing_lp
@@ -256,6 +257,24 @@ def test_hm_experiment_floors_use_edge_sizes():
     from sparsepack.hypermatch import theoretical_bound
     for it, (vs, _) in zip(report.items, h.edges):
         assert it.floor == pytest.approx(it.x * theoretical_bound(len(vs)))
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (2, 2)])   # a shared vertex, a repeat
+def test_hm_flags_a_trial_whose_edges_overlap(monkeypatch, pair):
+    # The last trial of every block gets two edges that are not a matching.
+    def trials(rounder, rng, size):
+        return np.array([size - 1, size - 1]), np.array(pair)
+
+    monkeypatch.setattr(HmRounder, "trials", trials)
+    h = Hypergraph(m=4, edges=(((0, 1), 1.0), ((1, 2), 1.0), ((3,), 1.0)))
+    trials_run = CHUNK_TRIALS + 100
+    report = empirical_ratio(ExperimentSpec("hm", h, trials_run, seed=1),
+                             x=[0.5, 0.5, 0.5])
+    blocks = -(-CHUNK_TRIALS // HM_BLOCK) + -(-100 // HM_BLOCK)
+    assert report.feasibility_violations == blocks
+    assert report.notes == tuple(
+        f"feasibility violation at chunk 0 offset {off}"
+        for off in range(HM_BLOCK - 1, 10 * HM_BLOCK, HM_BLOCK))
 
 
 def test_x_length_is_checked():

@@ -1,9 +1,13 @@
 """Marked-edge matching: attenuation curve, sweeps, per-edge rates."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from sparsepack import cli, hypermatch
 from sparsepack.errors import DomainError, SizeError, ValidationError
 from sparsepack.hypermatch import (EXACT_EDGE_CAP, HmRounder, attenuation_g,
                                    exact_match_probabilities,
@@ -107,6 +111,36 @@ def test_round_matching_validates():
         round_matching(h, [1.0], lambda v: 1.5, rng)
     with pytest.raises(DomainError):   # a negative linear mark rate
         HmRounder(h, [1.0], lambda v: min(1.0, -1.0 * v))
+
+
+def test_round_matching_reuses_its_rounder_only_for_the_same_inputs(monkeypatch):
+    built = []
+
+    class Counted(HmRounder):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(hypermatch, "HmRounder", Counted)
+    monkeypatch.setattr(hypermatch, "_last_rounder", None)
+    h = make_hypergraph(3, [((0, 1), 1.0), ((1, 2), 1.0)])
+    x = np.array([0.5, 0.5])
+    rng, twin = trial_rng(0, 0), trial_rng(0, 0)
+    fresh = HmRounder(h, x, attenuation_g)
+    for xs in (x, x, [0.5, 0.5]):          # an equal x, also as a list
+        assert round_matching(h, xs, attenuation_g, rng) == fresh.trial(twin)
+    assert len(built) == 1
+    x[0] = 1.0                              # the same array, changed in place
+    round_matching(h, x, attenuation_g, rng)
+    linear = lambda v: v                    # noqa: E731
+    round_matching(h, x, linear, rng)
+    round_matching(make_hypergraph(3, [((0, 1), 1.0), ((1, 2), 1.0)]), x,
+                   linear, rng)             # an equal hypergraph, another object
+    assert len(built) == 4
+    round_matching(h, x, linear, rng)
+    with pytest.raises(ValidationError, match="shape"):   # the same bytes
+        round_matching(h, x[None, :], linear, rng)
+    assert len(built) == 6
 
 
 def test_disjoint_edges_match_at_their_mark_rate():
@@ -245,3 +279,36 @@ def test_rounder_frequencies_match_the_exact_oracle(name):
     for e in range(h.n):
         sigma = binomial_stderr(p[e], trials)
         assert abs(hits[e] / trials - p[e]) <= 5 * sigma, (e, hits[e], p[e])
+
+
+# ---------------------------------------------------------------------------
+# Report pins
+
+# `round hm --trials 5000 --seed 11` (a full chunk and a partial one) on
+# `gen hyper --vertices 30 --edges 80 --k 3 --seed 4`, at x_e = 1 / (the
+# largest vertex degree), so that many trials resolve clashing edges.
+# Most trials there mark edges that share a vertex.  The frequency
+# digest was recorded with the one-trial-at-a-time loop that the block
+# sweep replaced, so it shows the two match the same edges.
+PIN_FREQUENCIES_SHA256 = (
+    "a49c26c96fce2dd8f01c58ed310d8569a3ecbb8c8ab436e26136ff19a9c2137a")
+PIN_REPORT_SHA256 = (
+    "31dcd38c146585a1814e9a6e3def6ec3be6b19319ed634de0bf9c725b453ff90")
+
+
+def test_round_hm_report_is_pinned(tmp_path, capsys):
+    inst, x_path, report = (tmp_path / name for name in
+                            ("h.json", "x.json", "report.json"))
+    assert cli.main(["gen", "hyper", "--vertices", "30", "--edges", "80",
+                     "--k", "3", "--seed", "4", "-o", str(inst)]) == 0
+    h = load_hypergraph(inst)
+    degree = max(np.bincount([v for vs, _ in h.edges for v in vs]))
+    x_path.write_text(json.dumps([1.0 / degree] * h.n))
+    assert cli.main(["round", "hm", "--instance", str(inst), "--x", str(x_path),
+                     "--trials", "5000", "--seed", "11",
+                     "--json", str(report)]) == 0
+    capsys.readouterr()
+    frequencies = [it["frequency"] for it in json.loads(report.read_text())["items"]]
+    digest = hashlib.sha256(json.dumps(frequencies).encode()).hexdigest()
+    assert digest == PIN_FREQUENCIES_SHA256
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == PIN_REPORT_SHA256

@@ -1,7 +1,8 @@
 """The per-trial names the benchmark's tracer wraps, and how often they run.
 
 perfbench/probe.py times the kcspip and bkns layers by replacing these
-module and class attributes with wrappers that note each call.  A
+module and class attributes with wrappers that note each call, and reads
+each hm trial's matching from `harness.matching_weight`.  A
 refactor that stops calling one of them through its public name, or
 calls it more or less often, would leave that layer's metric silently
 at zero or wrong.  Here each name gets a counting shim in the same way,
@@ -14,6 +15,7 @@ import pytest
 from sparsepack import graphcolor, harness, kcspip
 from sparsepack.core import make_instance
 from sparsepack.graphcolor import Coloring, DiGraph
+from sparsepack.hypermatch import is_matching, make_hypergraph
 
 # (owner, name, the type every call returns)
 TRACED = {
@@ -76,3 +78,26 @@ def test_bkns_calls_each_traced_layer_once_per_trial(calls):
     per_trial = ("BknsRounder.trial", "check_feasible")
     assert calls == {key: TRIALS if key in per_trial else 0
                      for key in TRACED} | {"trial_rng": CHUNKS}
+
+
+def test_hm_weighs_each_trial_once_with_its_matching(calls, monkeypatch):
+    # perfbench's matching check takes a set of these collections
+    weighed = []
+    original = harness.matching_weight
+
+    def matching_weight(h, edge_ids):
+        hash(edge_ids)
+        weighed.append(edge_ids)
+        return original(h, edge_ids)
+
+    monkeypatch.setattr(harness, "matching_weight", matching_weight)
+    h = make_hypergraph(5, [((0, 1), 1.0), ((1, 2), 2.0), ((2, 3, 4), 1.5),
+                            ((0, 4), 0.5), ((3,), 1.0)])
+    spec = harness.ExperimentSpec("hm", h, trials=TRIALS, seed=3)
+    report = harness.empirical_ratio(spec, x=[0.5, 0.5, 0.5, 0.5, 0.5])
+    assert calls == dict.fromkeys(TRACED, 0) | {"trial_rng": CHUNKS}
+    assert len(weighed) == TRIALS
+    assert all(list(ids) == sorted(ids) and is_matching(h, ids)
+               for ids in weighed)
+    tally = [sum(j in ids for ids in weighed) for j in range(h.n)]
+    assert tally == [round(it.frequency * TRIALS) for it in report.items]
