@@ -48,7 +48,7 @@ from .montecarlo import (EstimationSpec, attenuation_keep_prob,
 from .sksp import (ChanceSchedule, MultiChanceSampler, SkspInstance,
                    StochasticItem, compute_schedule, default_chances,
                    expected_size_instance, ideal_gamma, load_sksp, make_item,
-                   save_sksp, solve_sksp_lp)
+                   save_sksp)
 from .ufptree import (TreeNetwork, UfpCrScheme, UfpParams, balance_objective,
                       load_tree, make_tree, optimize_alpha, save_tree,
                       tree_path)

@@ -137,7 +137,7 @@ def _cmd_round(args):
     )
     x = None
     if args.x is not None:
-        x = _load_x(args.x, len(scheme.weights(instance)))
+        x = _load_x(args.x, scheme.packing(instance).n)
     report = empirical_ratio(spec, x=x)
     sys.stdout.write(format_report(report))
     if args.csv is not None:

@@ -26,9 +26,6 @@ from .errors import ValidationError
 
 FEAS_TOL = 1e-9
 
-Column = tuple[tuple[int, float], ...]
-ItemSet = frozenset
-
 
 @dataclass(frozen=True)
 class PackingInstance:
@@ -133,6 +130,19 @@ class FractionalSolution:
 
     x: tuple
     objective: float
+
+
+def require_fractional(x, n):
+    """x as a float array of shape (n,), clipped to [0, 1].
+
+    Raises ValidationError for another shape, and for an entry that is
+    NaN or lies outside [0, 1] by more than 1e-12 (solver dust)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValidationError(f"x has shape {x.shape}, expected ({n},)")
+    if not np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):
+        raise ValidationError("x outside [0,1]")
+    return np.clip(x, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

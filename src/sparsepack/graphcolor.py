@@ -55,10 +55,6 @@ class DiGraph:
                 adj[u][v] = arcs
         object.__setattr__(self, "neighbours", adj)
 
-    def undirected_adjacency(self):
-        """Neighbor sets ignoring direction (deduplicated)."""
-        return [set(nbrs) for nbrs in self.neighbours]
-
 
 def make_digraph(n, arcs):
     out = [[] for _ in range(n)]

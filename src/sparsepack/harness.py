@@ -37,17 +37,18 @@ from .core import (FEAS_TOL, PackingInstance, check_feasible, load_instance,
                    make_instance, objective_value, require_valid)
 from .errors import (InternalInvariantError, ParamError, SizeError,
                      ValidationError)
-from .hypermatch import (HmRounder, attenuation_g, load_hypergraph,
-                         make_hypergraph, matching_weight,
+from .hypermatch import (HmRounder, attenuation_g, hypergraph_lp_instance,
+                         load_hypergraph, make_hypergraph, matching_weight,
                          require_valid_hypergraph, theoretical_bound)
 from .kcspip import (EXACT_MARGINAL_CAP, BknsRounder, KcsParams, KcsRounder,
                      instance_k)
 from .lp import solve_packing_lp
 from .montecarlo import binomial_stderr, trial_rng
 from .sksp import (MultiChanceSampler, SkspInstance, compute_schedule,
-                   default_chances, load_sksp, make_item, solve_sksp_lp)
-from .ufptree import (UfpCrScheme, UfpParams, edge_usage, load_tree, make_tree,
-                      optimize_alpha, routed_weight, tree_lp_instance)
+                   default_chances, expected_size_instance, load_sksp,
+                   make_item)
+from .ufptree import (UfpCrScheme, UfpParams, load_tree, make_tree,
+                      optimize_alpha, tree_lp_instance)
 
 BRUTE_FORCE_CAP = 24
 CHUNK_TRIALS = 4096
@@ -158,16 +159,6 @@ def gen_random_tree(n_vertices, n_demands, seed, cap_hi=2):
             t += 1
         demands.append((s, t, 1.0 - rng.random()))
     return make_tree(parent, 0, caps, demands)
-
-
-def hypergraph_lp_instance(h):
-    """Fractional matching polytope of a hypergraph as a packing
-    instance: one unit-capacity row per vertex, coefficient 1 per
-    incidence."""
-    require_valid_hypergraph(h)
-    columns = [[(v, 1.0) for v in vs] for vs, _ in h.edges]
-    weights = [w for _, w in h.edges]
-    return make_instance([1.0] * h.m, weights, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +323,8 @@ def _build_ufp(net, x, params, seed):
     alpha = params.get("alpha")
     if alpha is None:
         alpha = optimize_alpha()[0]
-    up = UfpParams(alpha=alpha, sim_budget=params.get("sim_budget", 100_000))
+    budget = params.get("sim_budget")
+    up = UfpParams(alpha) if budget is None else UfpParams(alpha, budget)
     setup_rng = trial_rng(seed, 0, module=_SETUP_STREAM["ufp"])
     runner = UfpCrScheme(net, x, up, setup_rng)
     notes = []
@@ -343,41 +335,39 @@ def _build_ufp(net, x, params, seed):
 
 def _trial_loop(evaluate):
     """The chunk entry of a scheme whose runner draws one trial per
-    `runner.trial(rng)` call, which evaluate(instance, trial result)
-    turns into (chosen, weight, feasible)."""
-    def run_chunk(instance, runner, rng, size, n_items):
+    `runner.trial(rng)` call, which evaluate(view, trial result) turns
+    into (chosen, weight, feasible)."""
+    def run_chunk(view, runner, rng, size):
         # A list takes `+= 1` about 5x faster than a numpy array does.
-        tally = [0] * n_items
-        obj_sum = 0.0
-        obj_sq = 0.0
+        tally = [0] * view.n
+        weights = []
         bad = []
         for t in range(size):
-            chosen, weight, ok = evaluate(instance, runner.trial(rng))
+            chosen, weight, ok = evaluate(view, runner.trial(rng))
             for j in chosen:
                 tally[j] += 1
-            obj_sum += weight
-            obj_sq += weight * weight
+            weights.append(weight)
             if not ok:
                 bad.append(t)
-        return np.array(tally, dtype=np.int64), obj_sum, obj_sq, bad
+        return np.array(tally, dtype=np.int64), weights, bad
     return run_chunk
 
 
-def _hm_chunk(h, runner, rng, size, n_items):
+def _hm_chunk(view, runner, rng, size):
     """The hm chunk entry: `runner.trials` sweeps of HM_BLOCK trials.
 
     Feasibility is checked again from the matchings alone, as at most
     one matched edge per (trial, vertex).  Each trial is weighed by one
     `matching_weight` call with its edge ids in ascending order."""
-    counts = np.zeros(n_items, dtype=np.int64)
-    obj_sum = 0.0
-    obj_sq = 0.0
+    h = runner.h
+    counts = np.zeros(view.n, dtype=np.int64)
+    weights = []
     bad = []
     width = h.m + 1
     for lo in range(0, size, HM_BLOCK):
         b = min(HM_BLOCK, size - lo)
         trial, edge = runner.trials(rng, b)
-        counts += np.bincount(edge, minlength=n_items)
+        counts += np.bincount(edge, minlength=view.n)
         slots = h.vertex_array.take(edge, axis=1) + trial * width
         loads = np.bincount(slots.ravel(), minlength=b * width)
         loads[h.m::width] = 0
@@ -385,77 +375,62 @@ def _hm_chunk(h, runner, rng, size, n_items):
         ids = edge.tolist()
         start = 0
         for end in np.bincount(trial, minlength=b).cumsum().tolist():
-            weight = matching_weight(h, tuple(ids[start:end]))
-            obj_sum += weight
-            obj_sq += weight * weight
+            weights.append(matching_weight(h, tuple(ids[start:end])))
             start = end
-    return counts, obj_sum, obj_sq, bad
+    return counts, weights, bad
 
 
-def _evaluate_packing(inst, chosen):
-    return chosen, objective_value(inst, chosen), check_feasible(inst, chosen)
+def _evaluate_packing(view, chosen):
+    return chosen, objective_value(view, chosen), check_feasible(view, chosen)
 
 
-def _evaluate_sksp(inst, outcome):
-    ok = all(u <= b for u, b in zip(outcome.usage, inst.capacities))
+def _evaluate_sksp(view, outcome):
+    ok = all(u <= b for u, b in zip(outcome.usage, view.capacities))
     return outcome.chosen, outcome.realized_weight, ok
-
-
-def _evaluate_ufp(net, routed):
-    u = edge_usage(net, routed)
-    ok = all(
-        u[v] <= net.edge_capacity[v]
-        for v in range(net.n_vertices)
-        if v != net.root
-    )
-    return routed, routed_weight(net, routed), ok
 
 
 @dataclass(frozen=True)
 class Scheme:
     """Everything the harness and the CLI know about one algorithm.
 
-    stream    counter-stream module id of its trial chunks
-    load      reads an instance file of its format
-    relax     instance -> default x, the relaxation's solution
-    weights   instance -> item weights; their count is the item count
-    build     (instance, x, params, seed) -> (runner, floors, notes)
-    run_chunk (instance, runner, rng, size, n_items) -> (counts, objective
-              sum, objective sum of squares, infeasible trial offsets)
-              for `size` trials drawn from rng.  hm sweeps blocks of
-              trials (`_hm_chunk`); the other schemes call
-              runner.trial(rng) once per trial (`_trial_loop`).
+    stream     counter-stream module id of its trial chunks
+    load       reads an instance file of its format
+    packing    instance -> the packing instance the scheme rounds, once
+               the input is validated: the instance itself, or its
+               expected-size, matching or path LP.  This view gives the
+               item weights and count, its LP solution is the default
+               x, and kcspip, bkns and ufp trials are checked against it
+               (`check_feasible`), sksp outcomes against its capacities
+    strengthen whether that LP is solved with the big-item rows
+    build      (instance, x, params, seed) -> (runner, floors, notes)
+    run_chunk  (view, runner, rng, size) -> (counts, per-trial weights,
+               infeasible trial offsets) for `size` trials drawn from
+               rng, where view is the packing instance.  hm sweeps
+               blocks of trials (`_hm_chunk`); the other schemes call
+               runner.trial(rng) once per trial (`_trial_loop`).
     """
 
     stream: int
     load: Callable
-    relax: Callable
-    weights: Callable
+    packing: Callable
+    strengthen: bool
     build: Callable
     run_chunk: Callable
 
 
-def _strengthened_lp(inst):
-    return solve_packing_lp(inst, strengthen=True).x
-
+_packing_chunk = _trial_loop(_evaluate_packing)
 
 SCHEMES = {
-    "kcspip": Scheme(1, load_instance, _strengthened_lp, lambda inst: inst.weights,
-                     _build_kcspip, _trial_loop(_evaluate_packing)),
-    "bkns": Scheme(2, load_instance, _strengthened_lp, lambda inst: inst.weights,
-                   _build_bkns, _trial_loop(_evaluate_packing)),
-    "sksp": Scheme(3, load_sksp, lambda inst: solve_sksp_lp(inst).x,
-                   lambda inst: [it.expected_weight for it in inst.items],
-                   _build_sksp, _trial_loop(_evaluate_sksp)),
-    "hm": Scheme(4, load_hypergraph,
-                 lambda h: solve_packing_lp(hypergraph_lp_instance(h),
-                                            strengthen=False).x,
-                 lambda h: h.weights, _build_hm, _hm_chunk),
-    "ufp": Scheme(5, load_tree,
-                  lambda net: solve_packing_lp(tree_lp_instance(net),
-                                               strengthen=False).x,
-                  lambda net: [w for _, _, w in net.demands],
-                  _build_ufp, _trial_loop(_evaluate_ufp)),
+    "kcspip": Scheme(1, load_instance, require_valid, True, _build_kcspip,
+                     _packing_chunk),
+    "bkns": Scheme(2, load_instance, require_valid, True, _build_bkns,
+                   _packing_chunk),
+    "sksp": Scheme(3, load_sksp, expected_size_instance, False, _build_sksp,
+                   _trial_loop(_evaluate_sksp)),
+    "hm": Scheme(4, load_hypergraph, hypergraph_lp_instance, False, _build_hm,
+                 _hm_chunk),
+    "ufp": Scheme(5, load_tree, tree_lp_instance, False, _build_ufp,
+                  _packing_chunk),
 }
 ALGORITHMS = tuple(sorted(SCHEMES))
 
@@ -465,9 +440,9 @@ def _run_chunks(payload):
 
     The payload names the algorithm rather than carrying its SCHEMES
     entry, whose functions need not pickle."""
-    alg, runner, instance, n_items, seed, trials, chunk_ids = payload
+    alg, runner, view, seed, trials, chunk_ids = payload
     scheme = SCHEMES[alg]
-    tally = np.zeros(n_items, dtype=np.int64)
+    tally = np.zeros(view.n, dtype=np.int64)
     violations = 0
     flagged = []
     obj_parts = []
@@ -475,35 +450,36 @@ def _run_chunks(payload):
         rng = trial_rng(seed, c, module=scheme.stream)
         lo = c * CHUNK_TRIALS
         size = min(trials, lo + CHUNK_TRIALS) - lo
-        counts, obj_sum, obj_sq, bad = scheme.run_chunk(
-            instance, runner, rng, size, n_items)
+        counts, weights, bad = scheme.run_chunk(view, runner, rng, size)
         tally += counts
         violations += len(bad)
         flagged.extend((c, off) for off in bad[:10 - len(flagged)])
-        obj_parts.append((c, obj_sum, obj_sq))
+        total = sum(weights)
+        mean = total / size
+        obj_parts.append(
+            (c, size, total, math.fsum([(w - mean) ** 2 for w in weights])))
     return tally, violations, obj_parts, flagged
 
 
 def empirical_ratio(spec, x=None):
     """Run the experiment and return a RoundingReport.
 
-    x defaults to the appropriate relaxation's solution (strengthened
-    for the packing schemes).  Floors and per-item ratios follow the
-    table in the module docstring; `min_ratio` is the worst ratio over
-    items with a positive floor, the single number a guarantee check
-    cares about.  When spec.sink is set, the JSON report is also
-    written there.
+    x defaults to the LP solution of the scheme's packing view
+    (strengthened for kcspip and bkns).  Floors and per-item ratios
+    follow the table in the module docstring; `min_ratio` is the worst
+    ratio over items with a positive floor, the single number a
+    guarantee check cares about.  When spec.sink is set, the JSON report
+    is also written there.
     """
     alg = spec.algorithm
     scheme = SCHEMES[alg]
     instance = spec.instance
+    view = scheme.packing(instance)
     if x is None:
-        x = scheme.relax(instance)
+        x = solve_packing_lp(view, strengthen=scheme.strengthen).x
     x = [float(v) for v in x]
-    weights = scheme.weights(instance)
-    n_items = len(weights)
-    if len(x) != n_items:
-        raise ValidationError(f"x has length {len(x)}, expected {n_items}")
+    if len(x) != view.n:
+        raise ValidationError(f"x has length {len(x)}, expected {view.n}")
     runner, floors, notes = scheme.build(instance, x, spec.params, spec.seed)
 
     n_chunks = (spec.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
@@ -513,7 +489,7 @@ def empirical_ratio(spec, x=None):
         ids = list(range(w, n_chunks, jobs))
         if ids:
             payloads.append(
-                (alg, runner, instance, n_items, spec.seed, spec.trials, ids)
+                (alg, runner, view, spec.seed, spec.trials, ids)
             )
     if jobs <= 1:
         parts = [_run_chunks(p) for p in payloads]
@@ -521,7 +497,7 @@ def empirical_ratio(spec, x=None):
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_run_chunks, payloads))
 
-    counts = np.zeros(n_items, dtype=np.int64)
+    counts = np.zeros(view.n, dtype=np.int64)
     violations = 0
     obj_parts = []
     flagged = []
@@ -533,20 +509,26 @@ def empirical_ratio(spec, x=None):
     for c, off in sorted(flagged)[:10]:
         notes.append(f"feasibility violation at chunk {c} offset {off}")
 
-    # Reduce objective moments in chunk order; the float association, and
+    # Reduce the objective in chunk order; the float association, and
     # with it the report bytes, must not depend on the worker count.
+    # Each chunk's centred sum of squares m2 is merged into the running
+    # one (Chan, Golub and LeVeque), which avoids the cancellation of
+    # E[w^2] - E[w]^2.
     obj_sum = 0.0
-    obj_sq = 0.0
-    for _, ps, pq in sorted(obj_parts):
-        obj_sum += ps
-        obj_sq += pq
+    m2 = 0.0
+    seen = 0
+    for _, size, part_sum, part_m2 in sorted(obj_parts):
+        delta = part_sum / size - (obj_sum / seen if seen else 0.0)
+        m2 += part_m2 + delta * delta * seen * size / (seen + size)
+        obj_sum += part_sum
+        seen += size
 
     trials = spec.trials
     mean_obj = obj_sum / trials
-    var_obj = max(obj_sq / trials - mean_obj * mean_obj, 0.0)
+    var_obj = m2 / trials
     items = []
     ratios = []
-    for j in range(n_items):
+    for j in range(view.n):
         freq = int(counts[j]) / trials
         floor = floors[j]
         ratio = freq / floor if floor > 0.0 else None
@@ -570,7 +552,7 @@ def empirical_ratio(spec, x=None):
         f"SeedSequence((seed, {scheme.stream}, c)); setup pools use module "
         f"ids {sorted(_SETUP_STREAM.values())}"
     )
-    lp_obj = float(np.dot(weights, x))
+    lp_obj = float(np.dot(view.weights, x))
     report = RoundingReport(
         algorithm=alg,
         trials=trials,

@@ -33,7 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ValidationReport, read_json, require_clean, write_json
+from .core import (ValidationReport, make_instance, read_json, require_clean,
+                   require_fractional, write_json)
 from .errors import DomainError, SizeError, ValidationError
 
 EXACT_EDGE_CAP = 7
@@ -102,6 +103,15 @@ def validate_hypergraph(h):
 
 def require_valid_hypergraph(h):
     return require_clean(validate_hypergraph, h)
+
+
+def hypergraph_lp_instance(h):
+    """Fractional matching polytope of a hypergraph as a packing
+    instance, once the hypergraph is validated: one unit-capacity row
+    per vertex, coefficient 1 per incidence."""
+    require_valid_hypergraph(h)
+    columns = [[(v, 1.0) for v in vs] for vs, _ in h.edges]
+    return make_instance([1.0] * h.m, h.weights, columns)
 
 
 def attenuation_g(x):
@@ -195,17 +205,14 @@ def _block_sweep(h, size, trial, edge, key):
 class HmRounder:
     """Marked-edge sweep with the mark rates g(x_e) fixed up front.
 
-    The constructor checks the hypergraph, the shape of x, and that
-    every rate lies in [0, 1]; `trial` then draws one matching, and
-    `trials` a block of them.
+    The constructor checks the hypergraph and x (`require_fractional`),
+    and that every rate lies in [0, 1]; `trial` then draws one matching,
+    and `trials` a block of them.
     """
 
     def __init__(self, h, x, g):
         require_valid_hypergraph(h)
-        x = np.asarray(x, dtype=float)
-        if x.shape != (h.n,):
-            raise ValidationError(f"x has shape {x.shape}, expected ({h.n},)")
-        rates = [g(v) for v in x.tolist()]
+        rates = [g(v) for v in require_fractional(x, h.n).tolist()]
         if not all(0.0 <= r <= 1.0 for r in rates):
             raise DomainError("mark rates outside [0,1]")
         self.h = h

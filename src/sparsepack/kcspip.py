@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import column_sparsity, require_valid
+from .core import column_sparsity, require_fractional, require_valid
 from .errors import (
     DegreeError,
     InternalInvariantError,
@@ -124,13 +124,8 @@ def instance_k(inst):
 
 
 def sample_probabilities(inst, x, params):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (inst.n,):
-        raise ValidationError(f"x has shape {x.shape}, expected ({inst.n},)")
-    if not np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):
-        raise ValidationError("x outside [0,1]")
-    k = instance_k(inst)
-    return np.minimum(1.0, params.alpha * np.clip(x, 0.0, 1.0) / k)
+    x = require_fractional(x, inst.n)
+    return np.minimum(1.0, params.alpha * x / instance_k(inst))
 
 
 def _sample(p, rng):

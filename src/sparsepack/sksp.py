@@ -47,9 +47,11 @@ from functools import cached_property
 import numpy as np
 
 from .core import (ValidationReport, make_instance, read_json, require_clean,
-                   write_json)
+                   require_fractional, write_json)
 from .errors import AttenuationError, ParamError, ValidationError
-from .lp import solve_packing_lp
+# perfbench/probe.py's tracer wraps `sksp.solve_packing_lp`, so the name
+# stays bound here although this module no longer calls it.
+from .lp import solve_packing_lp  # noqa: F401
 from .montecarlo import EstimationSpec, attenuation_keep_prob, required_samples
 
 _CHUNK = 200_000
@@ -146,12 +148,14 @@ def require_valid_sksp(inst):
 
 
 def expected_size_instance(inst):
-    """PackingInstance with columns u_ij, for the expected-size LP.
+    """PackingInstance with columns u_ij, for the expected-size LP; the
+    stochastic instance is validated first.
 
     u_ij is an occupancy probability, so it may exceed 1 only by the
     summation dust validate_sksp tolerates; clamp it for the strict
     packing-side check.
     """
+    require_valid_sksp(inst)
     cols = []
     for item in inst.items:
         cols.append([
@@ -160,11 +164,6 @@ def expected_size_instance(inst):
         ])
     weights = [item.expected_weight for item in inst.items]
     return make_instance(inst.capacities, weights, cols, k=inst.k)
-
-
-def solve_sksp_lp(inst):
-    require_valid_sksp(inst)
-    return solve_packing_lp(expected_size_instance(inst), strengthen=False)
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +267,8 @@ class _Engine:
 
     def __init__(self, inst, x):
         require_valid_sksp(inst)
-        x = np.asarray(x, dtype=float)
-        if x.shape != (inst.n,):
-            raise ValidationError(f"x has shape {x.shape}, expected ({inst.n},)")
-        if not np.all((x >= -1e-12) & (x <= 1 + 1e-12)):
-            raise ValidationError("x outside [0,1]")
         self.inst = inst
-        self.x = np.clip(x, 0.0, 1.0)
+        self.x = require_fractional(x, inst.n)
         n, m, k = inst.n, inst.m, inst.k
         # Python tables for the walk
         self.support = [list(item.support) for item in inst.items]
@@ -386,10 +380,8 @@ class _Engine:
         return ProbeOutcome(tuple(added), wsum, tuple(usage))
 
 
-def default_sim_budget(inst, x, schedule):
+def default_sim_budget(targets):
     """Pool size from the smallest positive per-chance target rate."""
-    engine_x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    targets = np.outer(schedule.betas, engine_x) / inst.k
     positive = targets[targets > 0]
     if positive.size == 0:
         return 1000
@@ -418,7 +410,7 @@ class MultiChanceSampler:
         self.targets = np.outer(schedule.betas, self.engine.x) / inst.k
         self.yp_full = self.engine.y_probs(schedule.alphas)
         if sim_budget is None:
-            sim_budget = default_sim_budget(inst, self.engine.x, schedule)
+            sim_budget = default_sim_budget(self.targets)
         self.sim_budget = int(sim_budget)
         if self.sim_budget < 1:
             raise ParamError("sim_budget must be positive")

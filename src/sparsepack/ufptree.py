@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (ValidationReport, make_instance, read_json, require_clean,
-                   write_json)
+                   require_fractional, write_json)
 from .errors import EstimateError, ParamError, ValidationError
 from .montecarlo import attenuation_keep_prob
 
@@ -226,15 +226,8 @@ class UfpCrScheme:
 
     def __init__(self, net, x, params, rng, eta=None):
         require_valid_tree(net)
-        x = np.asarray(x, dtype=float)
-        if x.shape != (net.n_demands,):
-            raise ValidationError(
-                f"x has shape {x.shape}, expected ({net.n_demands},)"
-            )
-        if not np.all((x >= -1e-12) & (x <= 1 + 1e-12)):
-            raise ValidationError("x outside [0,1]")
         self.net = net
-        self.x = np.clip(x, 0.0, 1.0)
+        self.x = require_fractional(x, net.n_demands)
         self.params = params
         self.order = lca_order(net)
         self.paths = [list(net.demand_paths[i][1]) for i in range(net.n_demands)]
@@ -308,25 +301,16 @@ class UfpCrScheme:
         return frozenset(routed)
 
 
-def routed_weight(net, routed):
-    return float(sum(net.demands[i][2] for i in routed))
-
-
-def edge_usage(net, routed):
-    usage = [0] * net.n_vertices
-    for i in routed:
-        for v in net.demand_paths[i][1]:
-            usage[v] += 1
-    return usage
-
-
 def tree_lp_instance(net):
-    """Express the fractional routing polytope as a packing instance.
+    """Express the fractional routing polytope as a packing instance;
+    the tree is validated first.
 
     Row v (a non-root vertex) is the edge from v to its parent, with the
     edge capacity as its budget and coefficient 1 for every demand whose
     path crosses it.  The root's row is empty and carries a dummy budget
     so a relaxation of this instance yields a feasible routing vector.
+    A routed set is feasible iff `check_feasible` accepts it here, and
+    `objective_value` gives its weight.
     """
     require_valid_tree(net)
     columns = [

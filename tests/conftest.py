@@ -5,6 +5,9 @@ The tiny instances here are chosen so that every interesting predicate
 at least one of them while staying small enough for exhaustive checks.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,20 @@ from sparsepack.core import make_instance, require_valid
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def report_digests():
+    """sha256 of a --json report file, and of the same report without
+    its objective_std_err, serialised as the harness writes reports."""
+    def digests(path):
+        raw = path.read_bytes()
+        report = json.loads(raw)
+        del report["objective_std_err"]
+        rest = json.dumps(report, indent=1, sort_keys=True) + "\n"
+        return (hashlib.sha256(raw).hexdigest(),
+                hashlib.sha256(rest.encode()).hexdigest())
+    return digests
 
 
 @pytest.fixture

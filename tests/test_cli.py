@@ -122,7 +122,7 @@ def test_round_every_scheme(alg, tmp_path, capsys):
     assert f"array of {n} numbers" in err
 
 
-@pytest.mark.parametrize("alg", ["bkns", "kcspip", "sksp", "ufp"])
+@pytest.mark.parametrize("alg", ["bkns", "hm", "kcspip", "sksp", "ufp"])
 def test_round_rejects_nan_in_x(alg, tmp_path, capsys):
     # NaN compares False both ways, so a range test written as
     # "x < 0 or x > 1" let it through to the trials.

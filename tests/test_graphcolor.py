@@ -43,9 +43,10 @@ def test_digraph_rejects_a_repeated_out_neighbour():
     assert DiGraph(n=3, out=((1,), (0,), ())).neighbours[0] == {1: 2}
 
 
-def test_undirected_adjacency_merges_directions():
+def test_neighbours_merge_directions():
     g = make_digraph(3, [(0, 1), (1, 0), (1, 2)])
-    assert g.undirected_adjacency() == [{1}, {0, 2}, {1}]
+    # each neighbour, direction ignored, with the arc count between them
+    assert g.neighbours == [{1: 2}, {0: 2, 2: 1}, {1: 1}]
 
 
 def test_peel_order_on_path():

@@ -8,8 +8,9 @@ import pytest
 
 from sparsepack.core import check_feasible, make_instance, objective_value
 from sparsepack.errors import ParamError, SizeError, ValidationError
-from sparsepack.harness import (BRUTE_FORCE_CAP, CHUNK_TRIALS, HM_BLOCK,
-                                ExperimentSpec, brute_force_opt,
+from sparsepack.harness import (ALGORITHMS, BRUTE_FORCE_CAP, CHUNK_TRIALS,
+                                HM_BLOCK, SCHEMES, ExperimentSpec,
+                                brute_force_opt,
                                 empirical_ratio, format_report,
                                 gen_gap_instance,
                                 gen_random_hypergraph, gen_random_kcs,
@@ -24,7 +25,7 @@ from sparsepack.kcspip import (KcsParams, exact_inclusion_probabilities,
 from sparsepack.lp import solve_packing_lp
 from sparsepack.montecarlo import binomial_stderr
 from sparsepack.sksp import validate_sksp
-from sparsepack.ufptree import validate_tree
+from sparsepack.ufptree import UfpCrScheme, make_tree, validate_tree
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +276,57 @@ def test_hm_flags_a_trial_whose_edges_overlap(monkeypatch, pair):
     assert report.notes == tuple(
         f"feasibility violation at chunk 0 offset {off}"
         for off in range(HM_BLOCK - 1, 10 * HM_BLOCK, HM_BLOCK))
+
+
+def test_ufp_flags_a_trial_that_overloads_an_edge(monkeypatch):
+    # Every 50th trial routes both demands over the capacity-1 edge above
+    # vertex 2; the other trials route demand 0 alone.
+    calls = itertools.count()
+
+    def trial(scheme, rng):
+        return frozenset({0, 1}) if next(calls) % 50 == 49 else frozenset({0})
+
+    monkeypatch.setattr(UfpCrScheme, "trial", trial)
+    net = make_tree([-1, 0, 1], 0, [1, 1, 1], [(0, 2, 1.0), (1, 2, 1.0)])
+    trials_run = CHUNK_TRIALS + 100
+    spec = ExperimentSpec("ufp", net, trials_run, seed=1,
+                          params={"alpha": 0.1, "sim_budget": 1_000})
+    report = empirical_ratio(spec, x=[0.5, 0.5])
+    assert report.feasibility_violations == trials_run // 50
+    assert report.notes == tuple(
+        f"feasibility violation at chunk 0 offset {off}"
+        for off in range(49, 500, 50))
+
+
+def _scheme_instance(alg):
+    if alg in ("kcspip", "bkns"):
+        return gen_random_kcs(n=12, m=6, k=3, seed=7)
+    if alg == "sksp":
+        return gen_sksp_instance(n=6, m=4, k=2, scenarios=2, seed=2)
+    if alg == "hm":
+        return gen_random_hypergraph(8, 10, 3, seed=8)
+    return gen_random_tree(n_vertices=10, n_demands=6, seed=6)
+
+
+# Each scheme's item weights as read from its own format, before the
+# packing view took over.
+FORMAT_WEIGHTS = {
+    "kcspip": lambda inst: inst.weights,
+    "bkns": lambda inst: inst.weights,
+    "sksp": lambda inst: [it.expected_weight for it in inst.items],
+    "hm": lambda h: h.weights,
+    "ufp": lambda net: [w for _, _, w in net.demands],
+}
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_packing_view_gives_the_format_weights_and_item_count(alg):
+    inst = _scheme_instance(alg)
+    view = SCHEMES[alg].packing(inst)
+    weights = FORMAT_WEIGHTS[alg](inst)
+    assert view.weights == tuple(weights)
+    assert view.n == len(weights)
+    assert SCHEMES[alg].strengthen == (alg in ("kcspip", "bkns"))
 
 
 def test_x_length_is_checked():

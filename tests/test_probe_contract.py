@@ -1,21 +1,24 @@
 """The per-trial names the benchmark's tracer wraps, and how often they run.
 
-perfbench/probe.py times the kcspip and bkns layers by replacing these
-module and class attributes with wrappers that note each call, and reads
-each hm trial's matching from `harness.matching_weight`.  A
+perfbench/probe.py times the kcspip, bkns, sksp and ufp layers by
+replacing these module and class attributes with wrappers that note each
+call, and reads each hm trial's matching from `harness.matching_weight`.  A
 refactor that stops calling one of them through its public name, or
 calls it more or less often, would leave that layer's metric silently
 at zero or wrong.  Here each name gets a counting shim in the same way,
 and a run must call each exactly once per trial (`trial_rng` once per
-chunk) and hand back the same types as before.
+chunk, and once more for the set-up pool of sksp and ufp) and hand back
+the same types as before.
 """
 
 import pytest
 
-from sparsepack import graphcolor, harness, kcspip
+from sparsepack import graphcolor, harness, kcspip, sksp, ufptree
 from sparsepack.core import make_instance
 from sparsepack.graphcolor import Coloring, DiGraph
 from sparsepack.hypermatch import is_matching, make_hypergraph
+from sparsepack.sksp import ProbeOutcome, SkspInstance, make_item
+from sparsepack.ufptree import make_tree
 
 # (owner, name, the type every call returns)
 TRACED = {
@@ -26,6 +29,8 @@ TRACED = {
     "color_directed_graph": (kcspip, "color_directed_graph", Coloring),
     "peel_order": (graphcolor, "peel_order", list),
     "BknsRounder.trial": (kcspip.BknsRounder, "trial", frozenset),
+    "MultiChanceSampler.trial": (sksp.MultiChanceSampler, "trial", ProbeOutcome),
+    "UfpCrScheme.trial": (ufptree.UfpCrScheme, "trial", frozenset),
     "check_feasible": (harness, "check_feasible", bool),
     "trial_rng": (harness, "trial_rng", object),
 }
@@ -101,3 +106,27 @@ def test_hm_weighs_each_trial_once_with_its_matching(calls, monkeypatch):
                for ids in weighed)
     tally = [sum(j in ids for ids in weighed) for j in range(h.n)]
     assert tally == [round(it.frequency * TRIALS) for it in report.items]
+
+
+def test_sksp_calls_its_trial_once_per_trial(calls):
+    inst = SkspInstance(m=3, capacities=(1, 1, 2), k=2, items=(
+        make_item([0, 1], [(0.5, 1.0, [1, 1]), (0.5, 2.0, [1, 0])]),
+        make_item([1, 2], [(1.0, 1.5, [1, 1])]),
+        make_item([0, 2], [(0.3, 1.0, [0, 1]), (0.7, 0.5, [1, 1])]),
+    ))
+    spec = harness.ExperimentSpec("sksp", inst, trials=TRIALS, seed=3,
+                                  params={"T": 2, "sim_budget": 5_000})
+    harness.empirical_ratio(spec, x=[0.5, 0.5, 0.5])
+    assert calls == dict.fromkeys(TRACED, 0) | {
+        "MultiChanceSampler.trial": TRIALS, "trial_rng": CHUNKS + 1}
+
+
+def test_ufp_checks_each_trial_once_on_its_packing_view(calls):
+    net = make_tree([-1, 0, 0, 1], 0, [1, 1, 2, 1],
+                    [(3, 2, 1.0), (1, 3, 2.0), (0, 3, 0.5)])
+    spec = harness.ExperimentSpec("ufp", net, trials=TRIALS, seed=3,
+                                  params={"alpha": 0.1, "sim_budget": 2_000})
+    harness.empirical_ratio(spec, x=[0.5, 0.5, 0.5])
+    assert calls == dict.fromkeys(TRACED, 0) | {
+        "UfpCrScheme.trial": TRIALS, "check_feasible": TRIALS,
+        "trial_rng": CHUNKS + 1}

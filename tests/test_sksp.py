@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import sparsepack.cli as cli
+from sparsepack.core import make_instance
 from sparsepack.errors import AttenuationError, ParamError, ValidationError
 from sparsepack.harness import gen_sksp_instance
 from sparsepack.lp import solve_packing_lp
@@ -15,12 +16,16 @@ from sparsepack.sksp import (ChanceSchedule, MultiChanceSampler, SkspInstance,
                              compute_schedule, default_chances,
                              expected_size_instance, ideal_gamma, load_sksp,
                              make_item, save_sksp, sksp_from_dict, sksp_to_dict,
-                             solve_sksp_lp, validate_sksp)
+                             validate_sksp)
 
 
 def deterministic_item(rows, weight=1.0):
     """An item that always consumes one unit on each of its rows."""
     return make_item(rows, [(1.0, weight, [1] * len(rows))])
+
+
+def expected_size_lp(inst):
+    return solve_packing_lp(expected_size_instance(inst), strengthen=False)
 
 
 def disjoint_instance(n, k, cap=10):
@@ -165,10 +170,18 @@ def test_lp_on_deterministic_items_matches_plain_relaxation():
         m=2, capacities=(1, 1), k=2,
         items=(deterministic_item([0], 2.0), deterministic_item([0, 1], 1.0)),
     )
-    sol = solve_sksp_lp(inst)
-    direct = solve_packing_lp(expected_size_instance(inst), strengthen=False)
-    assert sol == direct
+    sol = expected_size_lp(inst)
+    plain = make_instance([1, 1], [2.0, 1.0], [[(0, 1.0)], [(0, 1.0), (1, 1.0)]],
+                          k=2)
+    assert sol == solve_packing_lp(plain, strengthen=False)
     assert sol.objective == pytest.approx(2.0)
+
+
+def test_expected_size_instance_validates_the_stochastic_instance():
+    inst = SkspInstance(m=1, capacities=(1,), k=1,
+                        items=(deterministic_item([3]),))
+    with pytest.raises(ValidationError, match="out of range"):
+        expected_size_instance(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +234,7 @@ def test_chance_tally_sees_no_double_adds_or_violations():
         items=(deterministic_item([0]), deterministic_item([0, 1]),
                deterministic_item([1])),
     )
-    x = solve_sksp_lp(inst).x
+    x = expected_size_lp(inst).x
     sched = compute_schedule(2, inst.k)
     sampler = MultiChanceSampler(inst, x, sched, trial_rng(4, 0),
                                  sim_budget=20_000)
@@ -360,15 +373,19 @@ def test_run_multichance_is_reproducible():
     assert outcomes[0] == outcomes[1]
 
 
-# Recorded before the engine was vectorised; the draws, the pools and
-# the trials must not move.
+# The estimates were recorded before the engine was vectorised, and so
+# was the report whose digest without objective_std_err is the second
+# entry below; the draws, the pools and the trials must not move.  The
+# first entry, the full report's digest, was recorded again when the
+# objective variance became a merge of per-chunk centred sums.
 GOLDEN_REPORT_SHA256 = (
-    "444c35eaeb9d642802e09dca52e3b6398319da5707de4a3b7105f6c82396b804")
+    "bab351e9eb4b4f907b3d7da88df8a231522099b9129fbc75bd2ec862dab71ac6",
+    "8fb96ae797103ba38e8c8b95c3b37fab1885bb619f636711e8516b9a67229c01")
 GOLDEN_ESTIMATES_SHA256 = (
     "9f0aeb37f9f21bd27d260d772457c985cca76ec354b2930c3bcaedeea7dd70bc")
 
 
-def test_round_sksp_report_bytes_are_pinned(tmp_path, capsys):
+def test_round_sksp_report_bytes_are_pinned(tmp_path, capsys, report_digests):
     inst, report = tmp_path / "sksp.json", tmp_path / "report.json"
     assert cli.main(["gen", "sksp", "--n", "10", "--m", "6", "--k", "3",
                      "--seed", "2", "-o", str(inst)]) == 0
@@ -376,14 +393,14 @@ def test_round_sksp_report_bytes_are_pinned(tmp_path, capsys):
                      "--trials", "2000", "--seed", "7", "--chances", "3",
                      "--sim-budget", "20000", "--json", str(report)]) == 0
     capsys.readouterr()
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_REPORT_SHA256
+    assert report_digests(report) == GOLDEN_REPORT_SHA256
 
 
 def test_probe_estimates_are_pinned():
     # Two estimated chances, so the second pool runs the first attenuated.
     inst = gen_sksp_instance(10, 6, 3, 3, seed=2)
     sched = ChanceSchedule(alphas=(1.0, 0.5), betas=(0.5, 0.05))
-    sampler = MultiChanceSampler(inst, solve_sksp_lp(inst).x, sched,
+    sampler = MultiChanceSampler(inst, expected_size_lp(inst).x, sched,
                                  trial_rng(2, 0), sim_budget=20_000)
     digest = hashlib.sha256(sampler.probe_estimates.tobytes()).hexdigest()
     assert digest == GOLDEN_ESTIMATES_SHA256

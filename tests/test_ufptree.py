@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from sparsepack.core import check_feasible, objective_value
 from sparsepack.errors import EstimateError, ParamError, ValidationError
 from sparsepack.harness import gen_random_tree
 from sparsepack.montecarlo import binomial_stderr, trial_rng
 from sparsepack.ufptree import (ALPHA_CAP, TreeNetwork, UfpCrScheme,
-                                UfpParams, balance_objective, edge_usage, lca_order, load_tree, make_tree,
-                                optimize_alpha, routed_weight, save_tree,
+                                UfpParams, balance_objective, lca_order,
+                                load_tree, make_tree, optimize_alpha, save_tree,
                                 tree_from_dict, tree_lp_instance, tree_path,
                                 tree_to_dict, validate_tree)
 
@@ -204,13 +205,10 @@ def test_routing_respects_capacities():
         x = np.full(net.n_demands, 0.8)
         scheme = UfpCrScheme(net, x, UfpParams(alpha=0.1, sim_budget=20_000),
                              trial_rng(seed, 0))
+        view = tree_lp_instance(net)
         rng = trial_rng(seed, 1)
         for _ in range(300):
-            routed = scheme.trial(rng)
-            usage = edge_usage(net, routed)
-            for v in range(net.n_vertices):
-                if v != net.root:
-                    assert usage[v] <= net.edge_capacity[v]
+            assert check_feasible(view, scheme.trial(rng))
 
 
 def test_cr_round_single_call(rng):
@@ -219,7 +217,7 @@ def test_cr_round_single_call(rng):
                          UfpParams(alpha=0.1, sim_budget=5_000), rng)
     routed = scheme.trial(rng)
     assert routed <= {0, 1}
-    assert routed_weight(net, routed) == sum(
+    assert objective_value(tree_lp_instance(net), routed) == sum(
         (2.0, 1.0)[i] for i in routed)
 
 
