@@ -1,10 +1,12 @@
 """Tree routing: paths, processing order, rates, contention resolution."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import sparsepack.cli as cli
 from sparsepack.core import check_feasible, objective_value
 from sparsepack.errors import EstimateError, ParamError, ValidationError
 from sparsepack.harness import gen_random_tree
@@ -228,6 +230,37 @@ def test_scheme_validates_x():
         UfpCrScheme(net, [1.0, 1.0], params, trial_rng(0, 0))
     with pytest.raises(ValidationError):
         UfpCrScheme(net, [1.5], params, trial_rng(0, 0))
+
+
+# The report (two chunks of trials) and the safety table were recorded
+# before the trial and the pool dropped their per-demand numpy calls;
+# the draws, the pool and the routed sets must not move.
+GOLDEN_REPORT_SHA256 = (
+    "359a3e73371f388ded728269349da2018d0c9543854fec70a843a690ced745ab",
+    "ec5b3a15b0016ae02c115c312f281ed54224df50667103c52d7ee4e1f6d97227")
+GOLDEN_ETA_SHA256 = (
+    "975a07d29fd787e26393066d3bb2186f3658179968d4fd60c07e689ccb2e46f7")
+
+
+def test_round_ufp_report_bytes_are_pinned(tmp_path, capsys, report_digests):
+    net, report = tmp_path / "tree.json", tmp_path / "report.json"
+    assert cli.main(["gen", "tree", "--vertices", "30", "--demands", "40",
+                     "--seed", "1", "-o", str(net)]) == 0
+    assert cli.main(["round", "ufp", "--instance", str(net),
+                     "--trials", "6000", "--seed", "7", "--alpha", "0.1",
+                     "--sim-budget", "20000", "--json", str(report)]) == 0
+    capsys.readouterr()
+    assert report_digests(report) == GOLDEN_REPORT_SHA256
+
+
+def test_safety_table_is_pinned():
+    net = gen_random_tree(n_vertices=30, n_demands=40, seed=1)
+    scheme = UfpCrScheme(net, np.full(net.n_demands, 0.8),
+                         UfpParams(alpha=0.1, sim_budget=20_000),
+                         trial_rng(2, 0))
+    assert scheme.clamped == [] and 0.79 < scheme.eta.min() < 0.8
+    digest = hashlib.sha256(scheme.eta.tobytes()).hexdigest()
+    assert digest == GOLDEN_ETA_SHA256
 
 
 # ---------------------------------------------------------------------------
