@@ -30,17 +30,18 @@ the finite-k correction beta_t = beta*_t - alpha*_t (sum_{t'<t}
 alpha*_{t'}) / k, clamped at zero.
 
 `_Engine` draws all the randomness of B runs as arrays in one step
-(first successful chances, orders, keep coins, scenarios).  The
+(first successful chances, orders, keep coins, scenarios), and the
 estimation pools and `chance_tally` simulate the B runs of a draw
-together in one vectorised pass; a trial (B = 1) walks its single run
-in plain Python, which is cheaper than the pass below about a hundred
-runs.  Both read the same draws, so a trial is exactly one row of a
-pass over the same stream.
+together in one vectorised pass.  A trial takes its single run's
+uniforms as one `rng.random(3Tn + n)` block, which is bit for bit the
+stream a one-run draw takes, and walks it in plain Python.  So a trial
+is exactly the one row of a pass over the same stream.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -258,11 +259,11 @@ class _Engine:
     draws together, stepping through the order positions of each chance
     and touching only the runs whose item at that position is eligible;
     the estimation pools and `chance_tally` use it.  `_walk` simulates
-    one run of the same draws in plain Python.  The harness calls
-    `trial` once per trial (B = 1), and there the walk costs about a
-    tenth of the pass, whose dozen numpy calls per order position only
-    pay off from about a hundred runs; so the walk stays.
-    tests/test_sksp_properties.py pins the two to each other row by row.
+    the one run of a trial, which the harness calls once per trial: it
+    reads the stream a one-run `_draw` reads, in one `rng.random` call,
+    and walks it over Python lists, without the per-call numpy cost that
+    the draw and the pass pay per array.  tests/test_sksp_properties.py
+    pins the walk to the pass trial by trial on twin streams.
     """
 
     def __init__(self, inst, x):
@@ -295,6 +296,7 @@ class _Engine:
             for r, (_, w, bits) in enumerate(item.scenarios):
                 self.w_tab[j, r] = w
                 self.bit_tab[j, r, :len(bits)] = bits
+        self.cum = self.scum.tolist()  # the walk's scenario search
 
     def y_probs(self, alphas):
         k = self.inst.k
@@ -352,17 +354,31 @@ class _Engine:
                 events[runs] += 1
         return added, usage[:, :m], weight, events
 
-    def _walk(self, draws, keeps, b=0):
-        """Run b of `draws`, simulated as `_pass` does, as a ProbeOutcome."""
-        tau, orders, coins, scen = (a[b].tolist() for a in draws)
+    def _walk(self, yp, keeps, rng):
+        """The run of `_draw(yp, 1, rng)`, simulated as `_pass` does, as
+        a ProbeOutcome; yp as nested lists.  Its one `rng.random(3Tn + n)`
+        block is that draw's stream (hits, order keys and keep coins, each
+        T x n, then scenario uniforms), the keys are ordered by the same
+        argsort, and `bisect_left` on an item's non-decreasing cumulative
+        row is the draw's scenario count.
+        """
+        T, n = len(yp), self.inst.n
+        tn = T * n
+        scens = 3 * tn
+        block = rng.random(scens + n)
+        orders = block[tn:2 * tn].reshape(T, n).argsort().tolist()
+        block = block.tolist()
         support, bits, sweights, caps = self.support, self.bits, self.sweights, self.caps
         usage = [0] * self.inst.m
-        added = [-1] * len(tau)
+        added = [-1] * n
+        hit = [False] * n
         wsum = 0.0
-        for t, (order, coins_t, keep_t) in enumerate(zip(orders, coins, keeps)):
+        for t, (order, yp_t, keep_t) in enumerate(zip(orders, yp, keeps)):
+            hits, coins = t * n, 2 * tn + t * n
             for j in order:
-                if tau[j] != t:
+                if hit[j] or block[hits + j] >= yp_t[j]:
                     continue
+                hit[j] = True
                 safe = True
                 for i in support[j]:
                     if usage[i] > caps[i]:
@@ -370,9 +386,9 @@ class _Engine:
                         break
                 if not safe:
                     continue
-                if keep_t is not None and coins_t[j] >= keep_t[j]:
+                if keep_t is not None and block[coins + j] >= keep_t[j]:
                     continue
-                s = scen[j]
+                s = bisect_left(self.cum[j], block[scens + j])
                 for i, bit in zip(support[j], bits[j][s]):
                     usage[i] += bit
                 wsum += sweights[j][s]
@@ -409,6 +425,7 @@ class MultiChanceSampler:
         n = inst.n
         self.targets = np.outer(schedule.betas, self.engine.x) / inst.k
         self.yp_full = self.engine.y_probs(schedule.alphas)
+        self.yp_rows = self.yp_full.tolist()
         if sim_budget is None:
             sim_budget = default_sim_budget(self.targets)
         self.sim_budget = int(sim_budget)
@@ -470,8 +487,7 @@ class MultiChanceSampler:
         return row
 
     def trial(self, rng):
-        engine = self.engine
-        return engine._walk(engine._draw(self.yp_full, 1, rng), self.keeps)
+        return self.engine._walk(self.yp_rows, self.keeps, rng)
 
     def chance_tally(self, trials, rng, batch=10_000):
         """Aggregate many trials without keeping them: per-(chance, item)
@@ -481,6 +497,8 @@ class MultiChanceSampler:
         events must equal the count of distinct items added.
         Returns (counts array of shape (T, n), violations, double_adds).
         """
+        if trials < 1 or batch < 1:
+            raise ParamError(f"trials={trials} and batch={batch} must be >= 1")
         engine = self.engine
         counts = np.zeros((self.T, engine.inst.n), dtype=np.int64)
         violations = 0

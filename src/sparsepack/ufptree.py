@@ -220,8 +220,10 @@ class UfpCrScheme:
     Construction runs the estimation pool: sim_budget simulated
     pipelines advanced demand by demand in processing order, reading
     off eta_i (the frequency of demand i being safe at its turn) just
-    before the pool applies demand i's own keep decisions.  Trials then
-    reuse the frozen table.
+    before the pool applies demand i's own keep decisions.  Its loads
+    are one contiguous row per edge, so safety is an `&` of path rows.
+    A table passed as `eta`, one entry in [0, 1] per demand, replaces
+    the pool.  Trials then reuse the frozen table.
     """
 
     def __init__(self, net, x, params, rng, eta=None):
@@ -231,15 +233,21 @@ class UfpCrScheme:
         self.params = params
         self.order = lca_order(net)
         self.paths = [list(net.demand_paths[i][1]) for i in range(net.n_demands)]
-        self.caps = np.asarray(net.edge_capacity, dtype=np.int64)
-        self.sample_p = params.alpha * self.x
+        self.caps = list(net.edge_capacity)
+        self.sample_p = (params.alpha * self.x).tolist()
         self.clamped = []
         if eta is not None:
             self.eta = np.asarray(eta, dtype=float)
+            if self.eta.shape != (net.n_demands,):
+                raise ValidationError(
+                    f"eta has shape {self.eta.shape}, need ({net.n_demands},)")
+            if not ((self.eta >= 0.0) & (self.eta <= 1.0)).all():
+                raise ValidationError("eta entries must be finite and in [0, 1]")
             self.keep = np.array([self._keep_prob(i, float(e))
                                   for i, e in enumerate(self.eta)])
         else:
             self._estimate_pool(rng)
+        self._keep = self.keep.tolist()
 
     def _keep_prob(self, i, eta):
         """Demand i's keep probability at safety rate eta: NaN when eta
@@ -257,47 +265,52 @@ class UfpCrScheme:
         net = self.net
         sampled = rng.random((B, net.n_demands)) < self.sample_p
         coins = rng.random((B, net.n_demands))
-        # a demand is routed only where every edge has room, so usage
-        # never exceeds the largest capacity
-        usage = np.zeros((B, net.n_vertices),
-                         dtype=np.min_scalar_type(int(self.caps.max())))
+        # usage[v] is edge v's load in each simulation; routing needs room
+        # on every edge, so usage never exceeds the largest capacity
+        usage = np.zeros((net.n_vertices, B),
+                         dtype=np.min_scalar_type(max(self.caps)))
         eta = np.zeros(net.n_demands)
         keep = np.zeros(net.n_demands)
         for i in self.order:
             path = self.paths[i]
-            safe = (usage[:, path] < self.caps[path]).all(axis=1)
-            eta[i] = float(safe.mean())
+            safe = usage[path[0]] < self.caps[path[0]]
+            for v in path[1:]:
+                safe &= usage[v] < self.caps[v]
+            eta[i] = np.count_nonzero(safe) / B
             keep[i] = self._keep_prob(i, eta[i])
             # a NaN keep compares False, so such a demand routes nothing
-            routed = sampled[:, i] & safe & (coins[:, i] < keep[i])
-            if routed.any():
-                usage[np.ix_(routed, path)] += 1
+            runs = np.flatnonzero(sampled[:, i] & safe)
+            runs = runs[coins[runs, i] < keep[i]]
+            if runs.size:
+                usage[np.ix_(path, runs)] += 1
         self.eta = eta
         self.keep = keep
 
     def trial(self, rng):
-        """One attenuated pipeline run; returns the routed demand set."""
-        net = self.net
-        sampled = rng.random(net.n_demands) < self.sample_p
-        coins = rng.random(net.n_demands)
-        usage = [0] * net.n_vertices
-        caps = self.caps
+        """One attenuated pipeline run; returns the routed demand set.
+        Its uniforms are one block: the sampling draws, then the coins."""
+        n = self.net.n_demands
+        u = rng.random(2 * n).tolist()
+        sample_p, keep, caps, paths = self.sample_p, self._keep, self.caps, self.paths
+        usage = [0] * self.net.n_vertices
         routed = []
         for i in self.order:
-            if not sampled[i]:
+            if u[i] >= sample_p[i]:
                 continue
-            path = self.paths[i]
-            if any(usage[v] >= caps[v] for v in path):
-                continue
-            if math.isnan(self.keep[i]):
-                raise EstimateError(
-                    f"demand {i} is reachable but its safety estimate is zero; "
-                    f"raise sim_budget"
-                )
-            if coins[i] < self.keep[i]:
-                routed.append(i)
-                for v in path:
-                    usage[v] += 1
+            path = paths[i]
+            for v in path:
+                if usage[v] >= caps[v]:
+                    break
+            else:
+                if math.isnan(keep[i]):
+                    raise EstimateError(
+                        f"demand {i} is reachable but its safety estimate is "
+                        f"zero; raise sim_budget"
+                    )
+                if u[n + i] < keep[i]:
+                    routed.append(i)
+                    for v in path:
+                        usage[v] += 1
         return frozenset(routed)
 
 

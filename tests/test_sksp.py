@@ -266,6 +266,17 @@ def test_chance_tally_counts_a_double_add_the_pass_reports(monkeypatch):
     assert double_adds == 3  # one per batch of 100, 100 and 50
 
 
+def test_chance_tally_rejects_a_count_or_batch_below_one():
+    # batch=0 used to loop forever: min(left, 0) never shrank `left`
+    inst = disjoint_instance(2, k=2)
+    sampler = MultiChanceSampler(inst, [1.0, 1.0], compute_schedule(1, inst.k),
+                                 trial_rng(4, 0), attenuate_last=False)
+    with pytest.raises(ParamError, match="batch=0"):
+        sampler.chance_tally(100, trial_rng(4, 1), batch=0)
+    with pytest.raises(ParamError, match="trials=0"):
+        sampler.chance_tally(0, trial_rng(4, 1))
+
+
 def test_attenuation_flattens_per_chance_rates():
     # Disjoint deterministic items with ample capacity: the only
     # randomness is the coin cascade, and attenuation should pin the

@@ -1,5 +1,5 @@
-"""The sksp engine's vectorised pass against its one-run walk, row by row
-on the same draws, over random small instances (hypothesis).
+"""The sksp engine's one-run walk against its vectorised pass, trial by
+trial on twin streams, over random small instances (hypothesis).
 
 Scenario tables include zero-probability scenarios (tied cumulative
 probabilities) and items with an empty support; keep rows are random,
@@ -9,13 +9,15 @@ absent (an unattenuated chance) or all zero.
 import numpy as np
 import pytest
 
+from sparsepack.harness import gen_sksp_instance
 from sparsepack.montecarlo import trial_rng
-from sparsepack.sksp import SkspInstance, _Engine, make_item, validate_sksp
+from sparsepack.sksp import (MultiChanceSampler, SkspInstance, _Engine,
+                             compute_schedule, make_item, validate_sksp)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-RUNS = 48
+TRIALS = 24
 
 
 @st.composite
@@ -47,7 +49,9 @@ def keep_rows(n):
 
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(st.data())
-def test_pass_rows_equal_the_walk_on_the_same_draws(data):
+def test_walks_equal_the_pass_on_a_twin_stream(data):
+    # consecutive walks on one stream against the B = 1 pass of each
+    # run's draws on a twin stream
     inst = data.draw(instances())
     n = inst.n
     x = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
@@ -57,13 +61,27 @@ def test_pass_rows_equal_the_walk_on_the_same_draws(data):
     seed = data.draw(st.integers(0, 2**32 - 1))
 
     engine = _Engine(inst, x)
-    draws = engine._draw(engine.y_probs(alphas), RUNS, trial_rng(seed, 0))
-    added, usage, weight, events = engine._pass(draws, keeps)
-    assert added.shape == (RUNS, n) and usage.shape == (RUNS, inst.m)
-    for b in range(RUNS):
-        walked = engine._walk(draws, keeps, b)
-        assert tuple(added[b].tolist()) == walked.added_chance
-        assert tuple(usage[b].tolist()) == walked.usage
-        assert weight[b] == pytest.approx(walked.realized_weight, abs=1e-12)
-        assert events[b] == len(walked.chosen)
-    assert (usage <= np.asarray(inst.capacities)).all()
+    yp = engine.y_probs(alphas)
+    rng, twin = trial_rng(seed, 0), trial_rng(seed, 0)
+    for _ in range(TRIALS):
+        walked = engine._walk(yp.tolist(), keeps, rng)
+        added, usage, weight, events = engine._pass(
+            engine._draw(yp, 1, twin), keeps)
+        assert tuple(added[0].tolist()) == walked.added_chance
+        assert tuple(usage[0].tolist()) == walked.usage
+        assert weight[0] == pytest.approx(walked.realized_weight, abs=1e-12)
+        assert events[0] == len(walked.chosen)
+        assert (usage[0] <= np.asarray(inst.capacities)).all()
+
+
+def test_sampler_trials_equal_the_pass_on_a_twin_stream():
+    inst = gen_sksp_instance(10, 6, 3, 3, seed=2)
+    sampler = MultiChanceSampler(inst, np.full(inst.n, 0.6),
+                                 compute_schedule(2, inst.k), trial_rng(2, 0),
+                                 sim_budget=5_000)
+    rng, twin = trial_rng(4, 1), trial_rng(4, 1)
+    engine = sampler.engine
+    for _ in range(300):
+        added = engine._pass(engine._draw(sampler.yp_full, 1, twin),
+                             sampler.keeps)[0]
+        assert sampler.trial(rng).added_chance == tuple(added[0].tolist())

@@ -190,6 +190,21 @@ def test_injected_safety_table_controls_keeps():
     assert low.clamped == [1]
 
 
+@pytest.mark.parametrize("eta, match", [
+    ([1.0], "shape"),                      # short: trials hit IndexError
+    ([1.0, 0.5, 0.5], "shape"),            # long: silently truncated
+    ([1.0, math.nan], r"in \[0, 1\]"),     # NaN keep, misleading error
+    ([1.0, -0.5], r"in \[0, 1\]"),
+    ([1.0, 1.5], r"in \[0, 1\]"),
+    ([1.0, math.inf], r"in \[0, 1\]"),
+])
+def test_injected_safety_table_is_validated(eta, match):
+    net = with_demands(chain_tree(3), [(0, 2, 1.0), (1, 2, 1.0)])
+    params = UfpParams(alpha=0.1, sim_budget=10)
+    with pytest.raises(ValidationError, match=match):
+        UfpCrScheme(net, [1.0, 1.0], params, trial_rng(1, 0), eta=eta)
+
+
 def test_zero_safety_estimate_raises_when_reached():
     net = with_demands(chain_tree(3), [(0, 2, 1.0)])
     params = UfpParams(alpha=0.12, sim_budget=10)
