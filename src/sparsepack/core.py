@@ -51,15 +51,21 @@ class PackingInstance:
         return tuple(tuple(i for i, a in col if a > 0.5) for col in self.columns)
 
     @cached_property
-    def bigs_on_row(self):
-        """For each row i, the frozenset of items big on it.  Its total
-        size is the number of big entries, so it never outgrows the
-        instance; a trial intersects it with its own item set."""
-        rows = [[] for _ in range(self.m)]
+    def conflicts(self):
+        """For each item j, the frozenset of the other items that are big
+        on some row of j: the arcs a conflict digraph may draw out of j,
+        and the big items that can block j.  A trial intersects it with
+        its own item set."""
+        bigs_on_row = [set() for _ in range(self.m)]
         for j, big in enumerate(self.big_rows):
             for i in big:
-                rows[i].append(j)
-        return tuple(frozenset(items) for items in rows)
+                bigs_on_row[i].add(j)
+        out = []
+        for j, col in enumerate(self.columns):
+            hit = set().union(*[bigs_on_row[i] for i, _ in col])
+            hit.discard(j)
+            out.append(frozenset(hit))
+        return tuple(out)
 
     @cached_property
     def validation(self):

@@ -37,10 +37,10 @@ then items with a big blocking event with respect to the survivor set
 are removed deterministically instead of the digraph machinery.
 
 The classes are decided once.  `PackingInstance.big_rows` holds each
-item's big rows and `PackingInstance.bigs_on_row` each row's big items;
-`_soft_entries`, built once per rounder, splits each item's other
-entries into medium and tiny.  A trial only intersects these tables
-with its own item sets.
+item's big rows and `PackingInstance.conflicts` each item's conflict
+set, the other items big on one of its rows; `_soft_entries`, built
+once per rounder, splits each item's other entries into medium and
+tiny.  A trial only intersects these tables with its own item sets.
 """
 
 from __future__ import annotations
@@ -207,22 +207,10 @@ def discard_blocked(inst, sampled, ell):
     return _discard(_soft_entries(inst, ell), _checked_items(inst, sampled))
 
 
-def _big_blocked(inst, soft, survivors):
+def _big_blocked(inst, survivors):
     """Items of `survivors` blocked by another big survivor on a shared row."""
-    bigs_on_row = inst.bigs_on_row
-    blocked = set()
-    for j in survivors:
-        # any big survivor blocks j on a row where j is not big itself
-        for i, _ in soft.entries[j]:
-            if not survivors.isdisjoint(bigs_on_row[i]):
-                blocked.add(j)
-                break
-        else:
-            for i in inst.big_rows[j]:
-                if len(bigs_on_row[i] & survivors) > 1:
-                    blocked.add(j)
-                    break
-    return frozenset(blocked)
+    conflicts = inst.conflicts
+    return frozenset([j for j in survivors if not conflicts[j].isdisjoint(survivors)])
 
 
 def build_conflict_digraph(inst, survivors):
@@ -232,18 +220,10 @@ def build_conflict_digraph(inst, survivors):
     alive = frozenset(survivors)
     items = sorted(alive)
     index = dict(zip(items, range(len(items))))
-    bigs_on_row = inst.bigs_on_row
-    columns = inst.columns
+    conflicts = inst.conflicts
     out = []
     for j in items:
-        hit = set()
-        for i, _ in columns[j]:
-            hit |= bigs_on_row[i] & alive
-        hit.discard(j)
-        if len(hit) > 1:
-            out.append(tuple(sorted([index[jp] for jp in hit])))
-        else:
-            out.append((index[hit.pop()],) if hit else ())
+        out.append(tuple(sorted([index[jp] for jp in conflicts[j] & alive])))
     return DiGraph(n=len(items), out=tuple(out))
 
 
@@ -332,7 +312,7 @@ class BknsRounder:
 
     def trial(self, rng):
         survivors = _discard(self.soft, _sample(self.p, rng))
-        return survivors - _big_blocked(self.inst, self.soft, survivors)
+        return survivors - _big_blocked(self.inst, survivors)
 
 
 # ---------------------------------------------------------------------------

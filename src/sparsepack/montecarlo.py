@@ -24,6 +24,20 @@ from .errors import DomainError
 
 log = logging.getLogger(__name__)
 
+# The set-up pools draw each block of uniforms, and simulate their runs,
+# in run slices of at most this many elements, so no float array of a
+# pool grows with its simulation count.
+_SLAB = 1 << 18
+
+
+def run_slices(runs, width):
+    """Consecutive slices of range(runs), each of at most _SLAB // width
+    runs (at least one), so a (slice, width) block holds at most _SLAB
+    elements.  A Generator fills a block in row-major order, so drawing
+    one slice at a time takes the same uniforms as drawing it whole."""
+    step = max(1, _SLAB // max(1, width))
+    return [slice(a, min(a + step, runs)) for a in range(0, runs, step)]
+
 
 @dataclass(frozen=True)
 class EstimationSpec:

@@ -29,10 +29,10 @@ whose totals gamma_T = 1/2, 5/8, 89/128, ... increase toward 1, with
 the finite-k correction beta_t = beta*_t - alpha*_t (sum_{t'<t}
 alpha*_{t'}) / k, clamped at zero.
 
-`_Engine` draws all the randomness of B runs as arrays in one step
-(first successful chances, orders, keep coins, scenarios), and the
-estimation pools and `chance_tally` simulate the B runs of a draw
-together in one vectorised pass.  A trial takes its single run's
+`_Engine` draws all the randomness of B runs into compact arrays
+(first successful chances, orders, kept flags, scenarios), and the
+estimation pools and `chance_tally` simulate the runs of a draw
+together in a vectorised pass.  A trial takes its single run's
 uniforms as one `rng.random(3Tn + n)` block, which is bit for bit the
 stream a one-run draw takes, and walks it in plain Python.  So a trial
 is exactly the one row of a pass over the same stream.
@@ -53,8 +53,13 @@ from .errors import AttenuationError, ParamError, ValidationError
 # perfbench/probe.py's tracer wraps `sksp.solve_packing_lp`, so the name
 # stays bound here although this module no longer calls it.
 from .lp import solve_packing_lp  # noqa: F401
-from .montecarlo import EstimationSpec, attenuation_keep_prob, required_samples
+from .montecarlo import (EstimationSpec, attenuation_keep_prob, required_samples,
+                         run_slices)
 
+# A pool draws its runs in chunks of _CHUNK, all four blocks of one chunk
+# before the next, so _CHUNK is part of the pool's stream.  Its memory is
+# not: a chunk keeps small integers and booleans per run, item and
+# chance, and its floats live one run slice at a time.
 _CHUNK = 200_000
 _ATTEN_REL_TOL = 0.01
 
@@ -254,11 +259,12 @@ class ProbeOutcome:
 class _Engine:
     """Shared simulation core: one array draw, a vectorised pass, a walk.
 
-    `_draw` takes all the randomness of B runs in four bulk `rng.random`
-    calls and returns arrays.  `_pass` simulates the B runs of those
-    draws together, stepping through the order positions of each chance
-    and touching only the runs whose item at that position is eligible;
-    the estimation pools and `chance_tally` use it.  `_walk` simulates
+    `_draw` takes all the randomness of B runs as four blocks of
+    uniforms, each drawn one run slice at a time, and keeps compact
+    per-run arrays.  `_pass` simulates the runs of those draws together,
+    stepping through the order positions of each chance and touching
+    only the runs whose item at that position is eligible and kept; the
+    estimation pools and `chance_tally` use it.  `_walk` simulates
     the one run of a trial, which the harness calls once per trial: it
     reads the stream a one-run `_draw` reads, in one `rng.random` call,
     and walks it over Python lists, without the per-call numpy cost that
@@ -302,31 +308,48 @@ class _Engine:
         k = self.inst.k
         return np.minimum(1.0, np.outer(alphas, self.x) / k)
 
-    def _draw(self, yp, B, rng):
+    def _draw(self, yp, keeps, B, rng):
         """Randomness of B runs of chances 0..T-1: each item's first
         successful chance tau (B, n), T if none succeeds; the per-chance
-        visiting orders (B, T, n); the keep coins (B, T, n); the
-        realized scenarios (B, n)."""
-        T, n = yp.shape
-        hit = np.ones((B, T + 1, n), dtype=bool)  # chance T always succeeds
-        np.less(rng.random((B, T, n)), yp, out=hit[:, :T])
-        tau = hit.argmax(axis=1)
-        orders = np.argsort(rng.random((B, T, n)), axis=2)
-        coins = rng.random((B, T, n))
-        u = rng.random((B, n))
-        scen = (self.scum < u[:, :, None]).sum(
-            axis=2, dtype=np.min_scalar_type(self.scum.shape[1]))
-        return tau, orders, coins, scen
+        visiting orders (B, T, n); kept (B, T, n), whether each keep
+        coin falls below its keeps[t] entry (a None row, an unattenuated
+        chance, keeps every item); the realized scenarios (B, n).
 
-    def _pass(self, draws, keeps):
+        The blocks are drawn in that order (hits, order keys, keep
+        coins, scenario uniforms), each one run slice at a time, which is
+        the stream of one whole-block `rng.random` call per block.  Each
+        slice is reduced to bytes at once.
+        """
+        T, n = yp.shape
+        slices = run_slices(B, T * n)
+        tau = np.empty((B, n), dtype=np.min_scalar_type(T))
+        for s in slices:
+            # chance T always succeeds
+            hit = np.ones((s.stop - s.start, T + 1, n), dtype=bool)
+            np.less(rng.random((s.stop - s.start, T, n)), yp, out=hit[:, :T])
+            tau[s] = hit.argmax(axis=1)
+        orders = np.empty((B, T, n), dtype=np.min_scalar_type(n))
+        for s in slices:
+            orders[s] = rng.random((s.stop - s.start, T, n)).argsort(axis=2)
+        keep = np.array([np.ones(n) if row is None else row for row in keeps],
+                        dtype=float).reshape(T, n)
+        kept = np.empty((B, T, n), dtype=bool)
+        for s in slices:
+            np.less(rng.random((s.stop - s.start, T, n)), keep, out=kept[s])
+        scen = np.empty((B, n), dtype=np.min_scalar_type(self.scum.shape[1]))
+        for s in slices:
+            u = rng.random((s.stop - s.start, n))
+            scen[s] = (self.scum < u[:, :, None]).sum(axis=2, dtype=scen.dtype)
+        return tau, orders, kept, scen
+
+    def _pass(self, draws):
         """Simulate every run of `draws`.
 
-        keeps[t] is a per-item keep-probability list, or None for an
-        unattenuated chance.  Returns added (B, n), the chance at which
-        each item was added or -1; usage (B, m); realized weight (B,);
-        and the number of add events of each run.
+        Returns added (B, n), the chance at which each item was added or
+        -1; usage (B, m); realized weight (B,); and the number of add
+        events of each run.
         """
-        tau, orders, coins, scen = draws
+        tau, orders, kept, scen = draws
         B, T, n = orders.shape
         m = self.inst.m
         added = np.full((B, n), -1, dtype=np.min_scalar_type(-T))
@@ -334,18 +357,17 @@ class _Engine:
         weight = np.zeros(B)
         events = np.zeros(B, dtype=np.int64)
         for t in range(T):
-            keep = None if keeps[t] is None else np.asarray(keeps[t], dtype=float)
             items = orders[:, t, :]
-            # eligible.T[p, b]: run b's item at position p is eligible now
-            eligible = np.ascontiguousarray(
-                np.take_along_axis(tau == t, items, axis=1).T)
-            for p in np.flatnonzero(eligible.any(axis=1)):
-                runs = np.flatnonzero(eligible[p])
+            # live.T[p, b]: run b's item at position p is eligible now and
+            # kept, so it is added iff it is safe; an eligible item that
+            # is not kept changes nothing
+            live = np.ascontiguousarray(
+                np.take_along_axis((tau == t) & kept[:, t], items, axis=1).T)
+            for p in np.flatnonzero(live.any(axis=1)):
+                runs = np.flatnonzero(live[p])
                 j = items[runs, p]
                 sup = self.sup[j]
                 ok = (usage[runs[:, None], sup] < self.room[sup]).all(axis=1)
-                if keep is not None:
-                    ok &= coins[runs, t, j] < keep[j]
                 runs, j, sup = runs[ok], j[ok], sup[ok]
                 s = scen[runs, j]
                 usage[runs[:, None], sup] += self.bit_tab[j, s]
@@ -355,12 +377,13 @@ class _Engine:
         return added, usage[:, :m], weight, events
 
     def _walk(self, yp, keeps, rng):
-        """The run of `_draw(yp, 1, rng)`, simulated as `_pass` does, as
-        a ProbeOutcome; yp as nested lists.  Its one `rng.random(3Tn + n)`
-        block is that draw's stream (hits, order keys and keep coins, each
-        T x n, then scenario uniforms), the keys are ordered by the same
-        argsort, and `bisect_left` on an item's non-decreasing cumulative
-        row is the draw's scenario count.
+        """The run of `_draw(yp, keeps, 1, rng)`, simulated as `_pass`
+        does, as a ProbeOutcome; yp as nested lists.  Its one
+        `rng.random(3Tn + n)` block is that draw's stream (hits, order
+        keys and keep coins, each T x n, then scenario uniforms), the
+        keys are ordered by the same argsort, and `bisect_left` on an
+        item's non-decreasing cumulative row is the draw's scenario
+        count.
         """
         T, n = len(yp), self.inst.n
         tn = T * n
@@ -458,8 +481,11 @@ class MultiChanceSampler:
         left = self.sim_budget
         while left > 0:
             b = min(left, _CHUNK)
-            added = engine._pass(engine._draw(yp, b, rng), keeps)[0]
-            counts += (added == t).sum(axis=0)
+            draws = engine._draw(yp, keeps, b, rng)
+            # runs are independent, so a pass over each slice counts the same
+            for s in run_slices(b, yp.size):
+                added = engine._pass([d[s] for d in draws])[0]
+                counts += (added == t).sum(axis=0)
             left -= b
         return counts / self.sim_budget
 
@@ -508,7 +534,7 @@ class MultiChanceSampler:
         while left > 0:
             b = min(left, batch)
             added, usage, _, events = engine._pass(
-                engine._draw(self.yp_full, b, rng), self.keeps)
+                engine._draw(self.yp_full, self.keeps, b, rng))
             for t in range(self.T):
                 counts[t] += (added == t).sum(axis=0)
             double_adds += int((events != (added >= 0).sum(axis=1)).sum())

@@ -35,7 +35,7 @@ import numpy as np
 from .core import (ValidationReport, make_instance, read_json, require_clean,
                    require_fractional, write_json)
 from .errors import EstimateError, ParamError, ValidationError
-from .montecarlo import attenuation_keep_prob
+from .montecarlo import attenuation_keep_prob, run_slices
 
 ALPHA_CAP = 1.0 / (3.0 * math.e)
 
@@ -263,14 +263,29 @@ class UfpCrScheme:
     def _estimate_pool(self, rng):
         B = self.params.sim_budget
         net = self.net
-        sampled = rng.random((B, net.n_demands)) < self.sample_p
-        coins = rng.random((B, net.n_demands))
+        n = net.n_demands
+        # The sampling block, then the coin block, each drawn one run
+        # slice at a time; only the sampled (run, demand) pairs and their
+        # coins are kept, then grouped by demand in run order.
+        slices = run_slices(B, n)
+        sampled = [np.nonzero(rng.random((s.stop - s.start, n)) < self.sample_p)
+                   for s in slices]
+        coins = [rng.random((s.stop - s.start, n))[r, d]
+                 for s, (r, d) in zip(slices, sampled)]
+        demand = np.concatenate([d for _, d in sampled]).astype(
+            np.min_scalar_type(n))
+        by = np.argsort(demand, kind="stable")
+        cuts = np.cumsum(np.bincount(demand, minlength=n))[:-1]
+        run = np.concatenate([r + s.start for s, (r, _) in zip(slices, sampled)])
+        runs_of = np.split(run[by], cuts)
+        coins_of = np.split(np.concatenate(coins)[by], cuts)
+        del sampled, coins, run
         # usage[v] is edge v's load in each simulation; routing needs room
         # on every edge, so usage never exceeds the largest capacity
         usage = np.zeros((net.n_vertices, B),
                          dtype=np.min_scalar_type(max(self.caps)))
-        eta = np.zeros(net.n_demands)
-        keep = np.zeros(net.n_demands)
+        eta = np.zeros(n)
+        keep = np.zeros(n)
         for i in self.order:
             path = self.paths[i]
             safe = usage[path[0]] < self.caps[path[0]]
@@ -279,8 +294,7 @@ class UfpCrScheme:
             eta[i] = np.count_nonzero(safe) / B
             keep[i] = self._keep_prob(i, eta[i])
             # a NaN keep compares False, so such a demand routes nothing
-            runs = np.flatnonzero(sampled[:, i] & safe)
-            runs = runs[coins[runs, i] < keep[i]]
+            runs = runs_of[i][safe[runs_of[i]] & (coins_of[i] < keep[i])]
             if runs.size:
                 usage[np.ix_(path, runs)] += 1
         self.eta = eta

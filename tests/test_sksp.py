@@ -254,8 +254,8 @@ def test_chance_tally_counts_a_double_add_the_pass_reports(monkeypatch):
                                  attenuate_last=False)
     honest = sampler.engine._pass
 
-    def doubled(draws, keeps):
-        added, usage, weight, events = honest(draws, keeps)
+    def doubled(draws):
+        added, usage, weight, events = honest(draws)
         events[0] += 1
         return added, usage, weight, events
 

@@ -66,7 +66,7 @@ def test_walks_equal_the_pass_on_a_twin_stream(data):
     for _ in range(TRIALS):
         walked = engine._walk(yp.tolist(), keeps, rng)
         added, usage, weight, events = engine._pass(
-            engine._draw(yp, 1, twin), keeps)
+            engine._draw(yp, keeps, 1, twin))
         assert tuple(added[0].tolist()) == walked.added_chance
         assert tuple(usage[0].tolist()) == walked.usage
         assert weight[0] == pytest.approx(walked.realized_weight, abs=1e-12)
@@ -82,6 +82,6 @@ def test_sampler_trials_equal_the_pass_on_a_twin_stream():
     rng, twin = trial_rng(4, 1), trial_rng(4, 1)
     engine = sampler.engine
     for _ in range(300):
-        added = engine._pass(engine._draw(sampler.yp_full, 1, twin),
-                             sampler.keeps)[0]
+        added = engine._pass(engine._draw(sampler.yp_full, sampler.keeps,
+                                          1, twin))[0]
         assert sampler.trial(rng).added_chance == tuple(added[0].tolist())
