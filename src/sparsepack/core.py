@@ -52,19 +52,21 @@ class PackingInstance:
 
     @cached_property
     def conflicts(self):
-        """For each item j, the frozenset of the other items that are big
-        on some row of j: the arcs a conflict digraph may draw out of j,
-        and the big items that can block j.  A trial intersects it with
-        its own item set."""
-        bigs_on_row = [set() for _ in range(self.m)]
+        """For each item j, a bitset (a Python int, bit j' for item j')
+        of the other items that are big on some row of j: the arcs a
+        conflict digraph may draw out of j, and the big items that can
+        block j.  A trial intersects it with the mask of its own item
+        set.  The table holds at most n^2 / 8 bytes."""
+        bigs_on_row = [0] * self.m
         for j, big in enumerate(self.big_rows):
             for i in big:
-                bigs_on_row[i].add(j)
+                bigs_on_row[i] |= 1 << j
         out = []
         for j, col in enumerate(self.columns):
-            hit = set().union(*[bigs_on_row[i] for i, _ in col])
-            hit.discard(j)
-            out.append(frozenset(hit))
+            hit = 0
+            for i, _ in col:
+                hit |= bigs_on_row[i]
+            out.append(hit & ~(1 << j))
         return tuple(out)
 
     @cached_property

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DegreeError, InternalInvariantError, ValidationError
 
@@ -29,31 +30,43 @@ class DiGraph:
     """Adjacency-list digraph; out[v] lists the out-neighbors of v.
 
     `neighbours[v]` maps each neighbour u of v, direction ignored, to the
-    number of arcs between the two.  It is built once, with the checks,
-    and peeling and coloring share it.
+    number of arcs between the two.  It is built on first use, and
+    peeling and coloring share it.
     """
 
     n: int
     out: tuple
-    neighbours: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n != len(self.out):
             raise ValidationError("out-list count disagrees with n")
-        adj = [{} for _ in range(self.n)]
         for v, nbrs in enumerate(self.out):
             if len(nbrs) > 1 and len(set(nbrs)) != len(nbrs):
                 raise ValidationError(f"out-list of {v} repeats a vertex")
-            av = adj[v]
             for u in nbrs:
                 if u == v:
                     raise ValidationError(f"self-loop at {v}")
                 if not (0 <= u < self.n):
                     raise ValidationError(f"arc ({v},{u}) out of range")
+
+    @classmethod
+    def from_valid(cls, n, out):
+        """The digraph (n, out) without the checks, for out-lists that
+        are valid by construction."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, out=out)
+        return g
+
+    @cached_property
+    def neighbours(self):
+        adj = [{} for _ in range(self.n)]
+        for v, nbrs in enumerate(self.out):
+            av = adj[v]
+            for u in nbrs:
                 arcs = 2 if u in av else 1   # 2: the arc u -> v came first
                 av[u] = arcs
                 adj[u][v] = arcs
-        object.__setattr__(self, "neighbours", adj)
+        return adj
 
 
 def make_digraph(n, arcs):

@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
@@ -333,24 +334,40 @@ def _build_ufp(net, x, params, seed):
     return runner, [up.alpha * up.beta * v for v in x], notes
 
 
-def _trial_loop(evaluate):
-    """The chunk entry of a scheme whose runner draws one trial per
-    `runner.trial(rng)` call, which evaluate(view, trial result) turns
-    into (chosen, weight, feasible)."""
-    def run_chunk(view, runner, rng, size):
-        # A list takes `+= 1` about 5x faster than a numpy array does.
-        tally = [0] * view.n
-        weights = []
-        bad = []
-        for t in range(size):
-            chosen, weight, ok = evaluate(view, runner.trial(rng))
-            for j in chosen:
+def _packing_chunk(view, runner, rng, size):
+    """The chunk entry of kcspip, bkns and ufp: one `runner.trial(rng)`
+    call per trial, whose item set is weighed and checked on the view."""
+    # A list takes `+= 1` about 5x faster than a numpy array does.
+    tally = [0] * view.n
+    weights = []
+    bad = []
+    for t in range(size):
+        chosen = runner.trial(rng)
+        for j in chosen:
+            tally[j] += 1
+        weights.append(objective_value(view, chosen))
+        if not check_feasible(view, chosen):
+            bad.append(t)
+    return np.array(tally, dtype=np.int64), weights, bad
+
+
+def _sksp_chunk(view, runner, rng, size):
+    """The sksp chunk entry: one `runner.trial(rng)` call per trial,
+    tallied from its added chances and checked against the view's
+    capacities."""
+    tally = [0] * view.n
+    weights = []
+    bad = []
+    caps = view.capacities
+    for t in range(size):
+        added, weight, usage = runner.trial(rng)
+        for j, c in enumerate(added):
+            if c >= 0:
                 tally[j] += 1
-            weights.append(weight)
-            if not ok:
-                bad.append(t)
-        return np.array(tally, dtype=np.int64), weights, bad
-    return run_chunk
+        weights.append(weight)
+        if not all(map(operator.le, usage, caps)):
+            bad.append(t)
+    return np.array(tally, dtype=np.int64), weights, bad
 
 
 def _hm_chunk(view, runner, rng, size):
@@ -380,15 +397,6 @@ def _hm_chunk(view, runner, rng, size):
     return counts, weights, bad
 
 
-def _evaluate_packing(view, chosen):
-    return chosen, objective_value(view, chosen), check_feasible(view, chosen)
-
-
-def _evaluate_sksp(view, outcome):
-    ok = all(u <= b for u, b in zip(outcome.usage, view.capacities))
-    return outcome.chosen, outcome.realized_weight, ok
-
-
 @dataclass(frozen=True)
 class Scheme:
     """Everything the harness and the CLI know about one algorithm.
@@ -407,7 +415,8 @@ class Scheme:
                infeasible trial offsets) for `size` trials drawn from
                rng, where view is the packing instance.  hm sweeps
                blocks of trials (`_hm_chunk`); the other schemes call
-               runner.trial(rng) once per trial (`_trial_loop`).
+               runner.trial(rng) once per trial (`_packing_chunk`,
+               `_sksp_chunk`).
     """
 
     stream: int
@@ -418,15 +427,13 @@ class Scheme:
     run_chunk: Callable
 
 
-_packing_chunk = _trial_loop(_evaluate_packing)
-
 SCHEMES = {
     "kcspip": Scheme(1, load_instance, require_valid, True, _build_kcspip,
                      _packing_chunk),
     "bkns": Scheme(2, load_instance, require_valid, True, _build_bkns,
                    _packing_chunk),
     "sksp": Scheme(3, load_sksp, expected_size_instance, False, _build_sksp,
-                   _trial_loop(_evaluate_sksp)),
+                   _sksp_chunk),
     "hm": Scheme(4, load_hypergraph, hypergraph_lp_instance, False, _build_hm,
                  _hm_chunk),
     "ufp": Scheme(5, load_tree, tree_lp_instance, False, _build_ufp,

@@ -38,9 +38,9 @@ are removed deterministically instead of the digraph machinery.
 
 The classes are decided once.  `PackingInstance.big_rows` holds each
 item's big rows and `PackingInstance.conflicts` each item's conflict
-set, the other items big on one of its rows; `_soft_entries`, built
-once per rounder, splits each item's other entries into medium and
-tiny.  A trial only intersects these tables with its own item sets.
+set as a bitset, the other items big on one of its rows; `_soft_entries`,
+built once per rounder, splits each item's other entries into medium
+and tiny.  A trial only intersects these tables with its own item sets.
 """
 
 from __future__ import annotations
@@ -207,24 +207,42 @@ def discard_blocked(inst, sampled, ell):
     return _discard(_soft_entries(inst, ell), _checked_items(inst, sampled))
 
 
+def _mask(items):
+    """The bitset of an item set, to intersect with `conflicts`."""
+    mask = 0
+    for j in items:
+        mask |= 1 << j
+    return mask
+
+
 def _big_blocked(inst, survivors):
     """Items of `survivors` blocked by another big survivor on a shared row."""
     conflicts = inst.conflicts
-    return frozenset([j for j in survivors if not conflicts[j].isdisjoint(survivors)])
+    alive = _mask(survivors)
+    return frozenset([j for j in survivors if conflicts[j] & alive])
 
 
 def build_conflict_digraph(inst, survivors):
     """Digraph on sorted(survivors): arc (j, j') iff some row has
     a_ij > 0 and a_ij' > 1/2.  Vertex t stands for the t-th smallest
-    surviving item."""
-    alive = frozenset(survivors)
-    items = sorted(alive)
-    index = dict(zip(items, range(len(items))))
+    surviving item, so the vertex of a surviving j' is the count of
+    survivors below it, and out-lists come out sorted by walking a
+    conflict set's bits upwards."""
+    alive = _mask(survivors)
     conflicts = inst.conflicts
     out = []
-    for j in items:
-        out.append(tuple(sorted([index[jp] for jp in conflicts[j] & alive])))
-    return DiGraph(n=len(items), out=tuple(out))
+    for j in sorted(survivors):
+        hit = conflicts[j] & alive
+        if not hit:
+            out.append(())
+            continue
+        arcs = []
+        while hit:
+            low = hit & -hit
+            arcs.append((alive & (low - 1)).bit_count())
+            hit ^= low
+        out.append(tuple(arcs))
+    return DiGraph.from_valid(len(out), tuple(out))
 
 
 def remove_anomalous(g, d):
@@ -240,7 +258,7 @@ def _induced(g, keep):
     out = []
     for v in keep:
         out.append(tuple(index[u] for u in g.out[v] if u in index))
-    return DiGraph(n=len(keep), out=tuple(out)), keep
+    return DiGraph.from_valid(len(keep), tuple(out)), keep
 
 
 class KcsRounder:

@@ -34,8 +34,9 @@ alpha*_{t'}) / k, clamped at zero.
 estimation pools and `chance_tally` simulate the runs of a draw
 together in a vectorised pass.  A trial takes its single run's
 uniforms as one `rng.random(3Tn + n)` block, which is bit for bit the
-stream a one-run draw takes, and walks it in plain Python.  So a trial
-is exactly the one row of a pass over the same stream.
+stream a one-run draw takes, and walks it in plain Python, visiting
+only the chances and items that can change its outcome.  So a trial is
+exactly the one row of a pass over the same stream.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -242,8 +244,7 @@ def default_chances(k):
 # ---------------------------------------------------------------------------
 # Probing engine
 
-@dataclass(frozen=True)
-class ProbeOutcome:
+class ProbeOutcome(NamedTuple):
     """One trial: per-item chance of addition (-1 if never added),
     realized weight total, and final row usage."""
 
@@ -268,8 +269,11 @@ class _Engine:
     the one run of a trial, which the harness calls once per trial: it
     reads the stream a one-run `_draw` reads, in one `rng.random` call,
     and walks it over Python lists, without the per-call numpy cost that
-    the draw and the pass pay per array.  tests/test_sksp_properties.py
-    pins the walk to the pass trial by trial on twin streams.
+    the draw and the pass pay per array.  It follows a `_plan` built
+    once per sampler, which lists only the (chance, item) pairs whose
+    hit can change the outcome, and it orders only the items hit and
+    kept in a chance.  tests/test_sksp_properties.py pins the walk to
+    the pass trial by trial on twin streams.
     """
 
     def __init__(self, inst, x):
@@ -279,7 +283,9 @@ class _Engine:
         n, m, k = inst.n, inst.m, inst.k
         # Python tables for the walk
         self.support = [list(item.support) for item in inst.items]
-        self.bits = [[list(bits) for _, _, bits in item.scenarios] for item in inst.items]
+        # per item and scenario, the support rows it consumes a unit of
+        self.rows = [[[i for i, bit in zip(item.support, bits) if bit]
+                      for _, _, bits in item.scenarios] for item in inst.items]
         self.sweights = [[w for _, w, _ in item.scenarios] for item in inst.items]
         self.caps = [b - 1 for b in inst.capacities]  # safe iff usage <= cap-1
         # Array tables for the pass and the draw.  Supports are padded to
@@ -376,46 +382,75 @@ class _Engine:
                 events[runs] += 1
         return added, usage[:, :m], weight, events
 
-    def _walk(self, yp, keeps, rng):
-        """The run of `_draw(yp, keeps, 1, rng)`, simulated as `_pass`
-        does, as a ProbeOutcome; yp as nested lists.  Its one
-        `rng.random(3Tn + n)` block is that draw's stream (hits, order
-        keys and keep coins, each T x n, then scenario uniforms), the
-        keys are ordered by the same argsort, and `bisect_left` on an
-        item's non-decreasing cumulative row is the draw's scenario
-        count.
+    def _plan(self, yp, keeps):
+        """The walk's plan for hit rows yp and keep rows keeps (nested
+        lists; a None row keeps every item, as 1.0 does): the T of the
+        block, then per chance the (item, hit, y, coin, keep, key)
+        entries it walks, hit, coin and key indexing the block.
+
+        Item j is listed in chance t iff its hit probability y there is
+        positive and some chance from t on may add it (positive y and
+        keep); any other hit changes nothing, as a hit marks only j.  So
+        a zero keep row in the middle is still walked, and the trailing
+        chances that may add nothing (the zero-beta chances of
+        `compute_schedule`) are dropped.
         """
         T, n = len(yp), self.inst.n
         tn = T * n
-        scens = 3 * tn
-        block = rng.random(scens + n)
-        orders = block[tn:2 * tn].reshape(T, n).argsort().tolist()
-        block = block.tolist()
-        support, bits, sweights, caps = self.support, self.bits, self.sweights, self.caps
+        keeps = [[1.0] * n if row is None else list(row) for row in keeps]
+        last = [-1] * n   # the last chance that may add each item
+        for t, (yp_t, keep_t) in enumerate(zip(yp, keeps)):
+            for j in range(n):
+                if yp_t[j] > 0 and keep_t[j] > 0:
+                    last[j] = t
+        chances = [
+            tuple((j, t * n + j, yp_t[j], 2 * tn + t * n + j, keep_t[j],
+                   tn + t * n + j)
+                  for j in range(n) if yp_t[j] > 0 and last[j] >= t)
+            for t, (yp_t, keep_t) in enumerate(zip(yp, keeps))
+        ][:max(last, default=-1) + 1]
+        return T, tuple(chances)
+
+    def _walk(self, plan, rng):
+        """The run of `_draw(yp, keeps, 1, rng)`, simulated as `_pass`
+        does, as a ProbeOutcome; plan is `_plan(yp, keeps)`.  Its one
+        `rng.random(3Tn + n)` block is that draw's stream (hits, order
+        keys and keep coins, each T x n, then scenario uniforms).
+
+        In each chance the items hit there first are marked, and those
+        also kept are visited by key, ties by index: an item not kept
+        changes nothing but its mark.  That is the draw's argsort order
+        unless two float64 keys tie, which happens with probability under
+        n^2 2^-53 per trial.  `bisect_left` on an item's
+        non-decreasing cumulative row is the draw's scenario count.
+        """
+        T, chances = plan
+        n = self.inst.n
+        scens = 3 * T * n
+        block = rng.random(scens + n).tolist()
+        support, rows, sweights, caps = self.support, self.rows, self.sweights, self.caps
         usage = [0] * self.inst.m
         added = [-1] * n
         hit = [False] * n
         wsum = 0.0
-        for t, (order, yp_t, keep_t) in enumerate(zip(orders, yp, keeps)):
-            hits, coins = t * n, 2 * tn + t * n
-            for j in order:
-                if hit[j] or block[hits + j] >= yp_t[j]:
-                    continue
-                hit[j] = True
-                safe = True
+        for t, entries in enumerate(chances):
+            visit = []
+            for j, h, y, c, keep, key in entries:
+                if block[h] < y and not hit[j]:
+                    hit[j] = True
+                    if block[c] < keep:
+                        visit.append((block[key], j))
+            visit.sort()
+            for _, j in visit:
                 for i in support[j]:
                     if usage[i] > caps[i]:
-                        safe = False
                         break
-                if not safe:
-                    continue
-                if keep_t is not None and block[coins + j] >= keep_t[j]:
-                    continue
-                s = bisect_left(self.cum[j], block[scens + j])
-                for i, bit in zip(support[j], bits[j][s]):
-                    usage[i] += bit
-                wsum += sweights[j][s]
-                added[j] = t
+                else:
+                    s = bisect_left(self.cum[j], block[scens + j])
+                    for i in rows[j][s]:
+                        usage[i] += 1
+                    wsum += sweights[j][s]
+                    added[j] = t
         return ProbeOutcome(tuple(added), wsum, tuple(usage))
 
 
@@ -448,7 +483,6 @@ class MultiChanceSampler:
         n = inst.n
         self.targets = np.outer(schedule.betas, self.engine.x) / inst.k
         self.yp_full = self.engine.y_probs(schedule.alphas)
-        self.yp_rows = self.yp_full.tolist()
         if sim_budget is None:
             sim_budget = default_sim_budget(self.targets)
         self.sim_budget = int(sim_budget)
@@ -472,6 +506,7 @@ class MultiChanceSampler:
             self.probe_estimates[t] = est
             keeps.append(self._keep_row(t, est))
         self.keeps = keeps
+        self.plan = self.engine._plan(self.yp_full.tolist(), keeps)
 
     def _estimate_chance(self, t, keeps_prefix, rng):
         engine = self.engine
@@ -513,7 +548,7 @@ class MultiChanceSampler:
         return row
 
     def trial(self, rng):
-        return self.engine._walk(self.yp_rows, self.keeps, rng)
+        return self.engine._walk(self.plan, rng)
 
     def chance_tally(self, trials, rng, batch=10_000):
         """Aggregate many trials without keeping them: per-(chance, item)

@@ -8,6 +8,7 @@ instance that has all three coefficient classes interacting.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,26 @@ def test_conflict_digraph_relabels_survivors():
     g = build_conflict_digraph(inst, {0, 3})
     # survivors sorted are [0, 3] -> vertices 0 and 1
     assert g.out == ((), (0,))
+
+
+def test_conflict_table_builds_in_bounded_memory():
+    # about 800 items share each row; a set of conflicting items per item
+    # grew with the square of that and took 251 MiB here
+    inst = gen_random_kcs(4000, 20, 4, 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = inst.conflicts
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    # the bitsets hold the same conflicts as the row tables they come from
+    j = 17
+    rows = {i for i, _ in inst.columns[j]}
+    assert {jp for jp in range(inst.n) if table[j] >> jp & 1} == {
+        jp for jp, big in enumerate(inst.big_rows)
+        if jp != j and rows.intersection(big)}
 
 
 def test_remove_anomalous_measures_original_outdegrees():

@@ -3,7 +3,9 @@ trial on twin streams, over random small instances (hypothesis).
 
 Scenario tables include zero-probability scenarios (tied cumulative
 probabilities) and items with an empty support; keep rows are random,
-absent (an unattenuated chance) or all zero.
+absent (an unattenuated chance) or all zero.  Fixed cases pin what the
+walk's plan leaves out: a trailing run of zero keep rows, items with a
+zero hit probability, and nothing of a zero keep row in the middle.
 """
 
 import numpy as np
@@ -61,17 +63,90 @@ def test_walks_equal_the_pass_on_a_twin_stream(data):
     seed = data.draw(st.integers(0, 2**32 - 1))
 
     engine = _Engine(inst, x)
-    yp = engine.y_probs(alphas)
+    assert_walks_equal_the_pass(engine, engine.y_probs(alphas), keeps, seed,
+                                TRIALS)
+
+
+def assert_walks_equal_the_pass(engine, yp, keeps, seed, trials):
+    """Consecutive walks on one stream against the B = 1 pass of each
+    run's draws on a twin stream; returns the walks and the plan."""
+    plan = engine._plan(yp.tolist(), keeps)
     rng, twin = trial_rng(seed, 0), trial_rng(seed, 0)
-    for _ in range(TRIALS):
-        walked = engine._walk(yp.tolist(), keeps, rng)
+    walks = []
+    for _ in range(trials):
+        walked = engine._walk(plan, rng)
         added, usage, weight, events = engine._pass(
             engine._draw(yp, keeps, 1, twin))
         assert tuple(added[0].tolist()) == walked.added_chance
         assert tuple(usage[0].tolist()) == walked.usage
         assert weight[0] == pytest.approx(walked.realized_weight, abs=1e-12)
         assert events[0] == len(walked.chosen)
-        assert (usage[0] <= np.asarray(inst.capacities)).all()
+        assert (usage[0] <= np.asarray(engine.inst.capacities)).all()
+        walks.append(walked)
+    return walks, plan
+
+
+def two_scenario_item(rows, weight):
+    return make_item(rows, [(0.5, weight, [1] * len(rows)),
+                            (0.5, 2 * weight, [1] + [0] * (len(rows) - 1))])
+
+
+def contended_instance():
+    # six items on one unit row, so the visiting order picks the add
+    items = [two_scenario_item([0] + ([1] if j % 2 else []), 1.0 + j)
+             for j in range(6)]
+    return SkspInstance(m=2, capacities=(1, 2), items=tuple(items), k=2)
+
+
+def chances_walked(plan):
+    return [sorted(entry[0] for entry in entries) for entries in plan[1]]
+
+
+def test_a_trailing_zero_keep_run_is_not_walked():
+    engine = _Engine(contended_instance(), [1.0] * 6)
+    yp = engine.y_probs([0.9, 0.8, 0.7])
+    keeps = [[1.0, 0.5, 0.0, 1.0, 0.7, 0.9], [0.0] * 6, [0.0] * 6]
+    walks, plan = assert_walks_equal_the_pass(engine, yp, keeps, 21, 400)
+    # the block still spans all three chances; only the first is walked
+    assert plan[0] == 3
+    assert chances_walked(plan) == [[0, 1, 3, 4, 5]]
+    assert sum(w.added_chance[0] == 0 for w in walks) > 20
+    assert sum(w.added_chance[5] == 0 for w in walks) > 20
+
+
+def test_a_zero_keep_row_in_the_middle_marks_its_hits():
+    # ample room: an item that is hit and kept is always added
+    inst = SkspInstance(m=4, capacities=(9,) * 4, k=1, items=tuple(
+        two_scenario_item([j], 1.0) for j in range(4)))
+    engine = _Engine(inst, [1.0] * 4)
+    yp = engine.y_probs([0.5, 0.5, 0.5])
+    keeps = [[0.5] * 4, [0.0] * 4, None]
+    walks, plan = assert_walks_equal_the_pass(engine, yp, keeps, 22, 400)
+    assert chances_walked(plan) == [[0, 1, 2, 3]] * 3
+    assert {t for w in walks for t in w.added_chance} == {-1, 0, 2}
+
+
+def test_an_unattenuated_last_chance_keeps_every_hit_item():
+    inst = gen_sksp_instance(10, 6, 3, 3, seed=2)
+    sampler = MultiChanceSampler(inst, np.full(inst.n, 0.6),
+                                 compute_schedule(2, inst.k), trial_rng(2, 0),
+                                 sim_budget=5_000, attenuate_last=False)
+    assert sampler.keeps[-1] is None
+    assert all(entry[4] == 1.0 for entry in sampler.plan[1][-1])
+    walks, _ = assert_walks_equal_the_pass(sampler.engine, sampler.yp_full,
+                                           sampler.keeps, 23, 300)
+    assert any(1 in w.added_chance for w in walks)
+
+
+def test_an_item_never_hit_is_not_walked():
+    engine = _Engine(contended_instance(), [1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+    # chance 1 hits nothing, so chance 0 is the last that may add
+    yp = engine.y_probs([0.9, 0.0])
+    keeps = [None, [1.0] * 6]
+    walks, plan = assert_walks_equal_the_pass(engine, yp, keeps, 24, 400)
+    assert chances_walked(plan) == [[0, 2, 3, 5]]
+    assert all(w.added_chance[1] == w.added_chance[4] == -1 for w in walks)
+    assert {j for w in walks for j in w.chosen} == {0, 2, 3, 5}
 
 
 def test_sampler_trials_equal_the_pass_on_a_twin_stream():
