@@ -29,9 +29,9 @@ from .errors import DegreeError, InternalInvariantError, ValidationError
 class DiGraph:
     """Adjacency-list digraph; out[v] lists the out-neighbors of v.
 
-    `neighbours[v]` maps each neighbour u of v, direction ignored, to the
-    number of arcs between the two.  It is built on first use, and
-    peeling and coloring share it.
+    `neighbours[v]` lists the neighbours of v, direction ignored, once
+    per arc between the two: a 2-cycle lists its partner twice.  It is
+    built on first use, and peeling and coloring share it.
     """
 
     n: int
@@ -59,13 +59,10 @@ class DiGraph:
 
     @cached_property
     def neighbours(self):
-        adj = [{} for _ in range(self.n)]
+        adj = list(map(list, self.out))
         for v, nbrs in enumerate(self.out):
-            av = adj[v]
             for u in nbrs:
-                arcs = 2 if u in av else 1   # 2: the arc u -> v came first
-                av[u] = arcs
-                adj[u][v] = arcs
+                adj[u].append(v)
         return adj
 
 
@@ -111,10 +108,11 @@ def peel_order(g):
             continue
         removed[v] = True
         order.append(v)
-        for u, arcs in adj[v].items():
+        for u in adj[v]:
             if not removed[u]:
-                # losing v costs u every arc between them
-                deg[u] -= arcs
+                # losing v costs u one degree per arc between them; the
+                # first push of a 2-cycle partner goes stale at once
+                deg[u] -= 1
                 heapq.heappush(heap, (deg[u], u))
     return order
 

@@ -24,9 +24,9 @@ from .errors import DomainError
 
 log = logging.getLogger(__name__)
 
-# The set-up pools draw each block of uniforms, and simulate their runs,
-# in run slices of at most this many elements, so no float array of a
-# pool grows with its simulation count.
+# The sksp set-up pools draw each block of uniforms, and simulate their
+# runs, in run slices of at most this many elements, so no float array
+# of a pool grows with its simulation count.
 _SLAB = 1 << 18
 
 

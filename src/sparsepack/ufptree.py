@@ -35,7 +35,7 @@ import numpy as np
 from .core import (ValidationReport, make_instance, read_json, require_clean,
                    require_fractional, write_json)
 from .errors import EstimateError, ParamError, ValidationError
-from .montecarlo import attenuation_keep_prob, run_slices
+from .montecarlo import attenuation_keep_prob
 
 ALPHA_CAP = 1.0 / (3.0 * math.e)
 
@@ -222,8 +222,12 @@ class UfpCrScheme:
     off eta_i (the frequency of demand i being safe at its turn) just
     before the pool applies demand i's own keep decisions.  Its loads
     are one contiguous row per edge, so safety is an `&` of path rows.
-    A table passed as `eta`, one entry in [0, 1] per demand, replaces
-    the pool.  Trials then reuse the frozen table.
+    The pool draws only what it reads: at demand i's turn, the runs
+    that sample i (a Binomial(sim_budget, alpha x_i) count, then a
+    uniform subset of that size, sorted) and one keep coin for each.
+    So each run samples i independently with probability alpha x_i,
+    as a trial does.  A table passed as `eta`, one entry in [0, 1] per
+    demand, replaces the pool.  Trials then reuse the frozen table.
     """
 
     def __init__(self, net, x, params, rng, eta=None):
@@ -264,22 +268,6 @@ class UfpCrScheme:
         B = self.params.sim_budget
         net = self.net
         n = net.n_demands
-        # The sampling block, then the coin block, each drawn one run
-        # slice at a time; only the sampled (run, demand) pairs and their
-        # coins are kept, then grouped by demand in run order.
-        slices = run_slices(B, n)
-        sampled = [np.nonzero(rng.random((s.stop - s.start, n)) < self.sample_p)
-                   for s in slices]
-        coins = [rng.random((s.stop - s.start, n))[r, d]
-                 for s, (r, d) in zip(slices, sampled)]
-        demand = np.concatenate([d for _, d in sampled]).astype(
-            np.min_scalar_type(n))
-        by = np.argsort(demand, kind="stable")
-        cuts = np.cumsum(np.bincount(demand, minlength=n))[:-1]
-        run = np.concatenate([r + s.start for s, (r, _) in zip(slices, sampled)])
-        runs_of = np.split(run[by], cuts)
-        coins_of = np.split(np.concatenate(coins)[by], cuts)
-        del sampled, coins, run
         # usage[v] is edge v's load in each simulation; routing needs room
         # on every edge, so usage never exceeds the largest capacity
         usage = np.zeros((net.n_vertices, B),
@@ -293,8 +281,11 @@ class UfpCrScheme:
                 safe &= usage[v] < self.caps[v]
             eta[i] = np.count_nonzero(safe) / B
             keep[i] = self._keep_prob(i, eta[i])
-            # a NaN keep compares False, so such a demand routes nothing
-            runs = runs_of[i][safe[runs_of[i]] & (coins_of[i] < keep[i])]
+            # the runs that sample demand i, then one coin for each; a
+            # NaN keep compares False, so such a demand routes nothing
+            runs = np.sort(rng.choice(B, rng.binomial(B, self.sample_p[i]),
+                                      replace=False, shuffle=False))
+            runs = runs[safe[runs] & (rng.random(runs.size) < keep[i])]
             if runs.size:
                 usage[np.ix_(path, runs)] += 1
         self.eta = eta

@@ -1,14 +1,15 @@
 """The sksp and ufp set-up pools: the same estimates and stream for any
-slab size, the one-shot stream above one sksp chunk, a memory gate on
-the benchmark's `pools` instances, and --jobs invariance of the two
-schemes' reports (hypothesis)."""
+slab size (the ufp pool slices no dense block at all), the one-shot
+stream above one sksp chunk, a memory gate on the benchmark's `pools`
+instances, and --jobs invariance of the two schemes' reports
+(hypothesis)."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sparsepack import montecarlo, sksp
+from sparsepack import montecarlo, sksp, ufptree
 from sparsepack.errors import AttenuationError
 from sparsepack.harness import (CHUNK_TRIALS, ExperimentSpec, empirical_ratio,
                                 gen_random_tree, gen_sksp_instance, report_to_json)
@@ -45,9 +46,9 @@ def ufp_pool(net, budget):
     return UfpCrScheme(net, tree_x(net), UfpParams(0.1, budget), rng), rng
 
 
-# (slab, pool size): 997 elements leave slices of 99, 49 (sksp) and 24
-# (ufp) runs, none of which divides 20,003; a slab of one element
-# leaves one run per slice.
+# (slab, pool size): 997 elements leave sksp slices of 99 and 49 runs,
+# neither of which divides 20,003; a slab of one element leaves one run
+# per slice.
 SLABS = [(997, 20_003), (1, 301)]
 
 
@@ -62,9 +63,17 @@ def test_sksp_pool_does_not_depend_on_the_slab(slab, budget, monkeypatch):
     assert sliced_rng.bit_generator.state == rng.bit_generator.state
 
 
+def no_run_slices(runs, width):
+    raise AssertionError("the ufp pool draws no dense run slices")
+
+
 @pytest.mark.parametrize("slab, budget", SLABS)
 def test_ufp_pool_does_not_depend_on_the_slab(slab, budget, monkeypatch):
+    # The ufp pool draws only each demand's sampled runs, so it must not
+    # slice a dense (runs, demands) block at all.
     net = gen_random_tree(60, 40, seed=1)
+    monkeypatch.setattr(montecarlo, "run_slices", no_run_slices)
+    monkeypatch.setattr(ufptree, "run_slices", no_run_slices, raising=False)
     whole, rng = ufp_pool(net, budget)
     monkeypatch.setattr(montecarlo, "_SLAB", slab)
     sliced, sliced_rng = ufp_pool(net, budget)

@@ -166,6 +166,19 @@ def test_lone_demand_routes_at_alpha_beta_x():
         expect, abs=4 * binomial_stderr(expect, trials))
 
 
+def test_pool_estimates_the_safety_rate_of_a_shared_edge():
+    # Demand 1 is unsafe exactly when demand 0, first in LCA order, holds
+    # their shared unit edge: sampled (alpha x_0) and kept (beta, since
+    # nothing can block demand 0).
+    net = make_tree([-1, 0, 1], 0, [1, 1, 5], [(0, 1, 1.0), (0, 2, 1.0)])
+    params = UfpParams(alpha=0.1, sim_budget=400_000)
+    scheme = UfpCrScheme(net, [0.9, 0.7], params, trial_rng(0, 0))
+    assert scheme.order == (0, 1) and scheme.eta[0] == 1.0
+    expect = 1.0 - params.alpha * 0.9 * params.beta
+    assert scheme.eta[1] == pytest.approx(
+        expect, abs=5 * binomial_stderr(expect, params.sim_budget))
+
+
 def test_keep_probabilities_stay_within_one():
     for seed in range(4):
         net = gen_random_tree(n_vertices=12, n_demands=8, seed=seed)
@@ -247,14 +260,16 @@ def test_scheme_validates_x():
         UfpCrScheme(net, [1.5], params, trial_rng(0, 0))
 
 
-# The report (two chunks of trials) and the safety table were recorded
-# before the trial and the pool dropped their per-demand numpy calls;
-# the draws, the pool and the routed sets must not move.
+# The report (two chunks of trials) was recorded before the trial and
+# the pool dropped their per-demand numpy calls; the draws, the pool and
+# the routed sets must not move.  The safety table was recorded when the
+# pool began drawing only each demand's sampled runs, which changed its
+# stream once.
 GOLDEN_REPORT_SHA256 = (
     "359a3e73371f388ded728269349da2018d0c9543854fec70a843a690ced745ab",
     "ec5b3a15b0016ae02c115c312f281ed54224df50667103c52d7ee4e1f6d97227")
 GOLDEN_ETA_SHA256 = (
-    "975a07d29fd787e26393066d3bb2186f3658179968d4fd60c07e689ccb2e46f7")
+    "1bb73544060c4a1fd36f0b6828346c149ffa8cc85318a506c9568073b1ac7df2")
 
 
 def test_round_ufp_report_bytes_are_pinned(tmp_path, capsys, report_digests):
@@ -273,7 +288,7 @@ def test_safety_table_is_pinned():
     scheme = UfpCrScheme(net, np.full(net.n_demands, 0.8),
                          UfpParams(alpha=0.1, sim_budget=20_000),
                          trial_rng(2, 0))
-    assert scheme.clamped == [] and 0.79 < scheme.eta.min() < 0.8
+    assert scheme.clamped == [] and 0.795 < scheme.eta.min() < 0.805
     digest = hashlib.sha256(scheme.eta.tobytes()).hexdigest()
     assert digest == GOLDEN_ETA_SHA256
 

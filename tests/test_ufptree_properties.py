@@ -2,7 +2,9 @@
 random trees, x and safety tables (hypothesis).
 
 Safety tables include zeros, whose NaN keep must raise EstimateError
-only in a trial that reaches the demand.
+only in a trial that reaches the demand; the pool is also checked at
+its boundaries (a demand never sampled, a one-run pool, a zero
+estimate from the pool itself).
 """
 
 import math
@@ -34,7 +36,7 @@ def trees(draw):
 
 def params():
     return st.builds(UfpParams, st.floats(0.01, ALPHA_CAP * 0.999),
-                     st.integers(1, 300))
+                     st.integers(1, 3000))
 
 
 def reference_trial(scheme, rng):
@@ -61,23 +63,41 @@ def reference_trial(scheme, rng):
 
 def reference_pool(scheme, rng):
     """eta and keep from B runs of the reference router, each demand's
-    safety read just before its own keep coin."""
+    safety read just before its own keep coin.  Demand by demand in
+    processing order, the runs that sample demand i are a
+    Binomial(B, alpha x_i) count of distinct runs, drawn uniformly and
+    sorted, and each takes one keep coin."""
     net = scheme.net
     B = scheme.params.sim_budget
-    sampled = rng.random((B, net.n_demands)) < scheme.params.alpha * scheme.x
-    coins = rng.random((B, net.n_demands))
     usage = np.zeros((B, net.n_vertices), dtype=np.int64)
     caps = np.asarray(net.edge_capacity)
     eta, keep = np.zeros(net.n_demands), np.zeros(net.n_demands)
     beta = scheme.params.beta
     for i in scheme.order:
+        count = rng.binomial(B, scheme.params.alpha * scheme.x[i])
+        runs = np.sort(rng.choice(B, count, replace=False, shuffle=False))
+        sampled, coins = np.zeros(B, dtype=bool), np.ones(B)
+        sampled[runs] = True
+        coins[runs] = rng.random(count)
         path = list(net.demand_paths[i][1])
         safe = (usage[:, path] < caps[path]).all(axis=1)
         eta[i] = float(safe.mean())
         keep[i] = np.nan if eta[i] <= 0 else attenuation_keep_prob(eta[i], beta)
-        routed = sampled[:, i] & safe & (coins[:, i] < keep[i])
+        routed = sampled & safe & (coins < keep[i])
         usage[np.ix_(routed, path)] += 1
     return eta, keep
+
+
+def pool_equals_the_reference(net, x, params, seed):
+    """The pool on trial_rng(seed, 0) against the reference pool on a
+    twin stream: eta and keep bit for bit, and the same end state."""
+    rng, twin = trial_rng(seed, 0), trial_rng(seed, 0)
+    scheme = UfpCrScheme(net, x, params, rng)
+    eta, keep = reference_pool(scheme, twin)
+    assert scheme.eta.tobytes() == eta.tobytes()
+    np.testing.assert_array_equal(scheme.keep, keep)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    return scheme
 
 
 def outcome(route, scheme, rng):
@@ -110,7 +130,38 @@ def test_pool_equals_the_reference_pool(data):
     n = net.n_demands
     x = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    scheme = UfpCrScheme(net, x, data.draw(params()), trial_rng(seed, 0))
-    eta, keep = reference_pool(scheme, trial_rng(seed, 0))
-    assert scheme.eta.tobytes() == eta.tobytes()
-    np.testing.assert_array_equal(scheme.keep, keep)
+    pool_equals_the_reference(net, x, data.draw(params()), seed)
+
+
+# Demand 0 crosses the unit edge above vertex 1; demand 1 crosses it
+# too, then the edge above vertex 2.  Both start at the root, so demand
+# 0 goes first.
+SHARED_EDGE = make_tree([-1, 0, 1], 0, [1, 1, 5], [(0, 1, 1.0), (0, 2, 1.0)])
+
+
+def test_a_demand_with_zero_x_samples_no_run():
+    scheme = pool_equals_the_reference(SHARED_EDGE, [0.0, 0.7],
+                                       UfpParams(0.1, 1_000), 4)
+    # demand 0 routes in no run, so nothing blocks demand 1
+    assert scheme.eta.tolist() == [1.0, 1.0]
+
+
+def test_a_one_run_pool_reads_each_eta_as_zero_or_one():
+    etas = set()
+    for seed in range(40):
+        scheme = pool_equals_the_reference(SHARED_EDGE, [1.0, 1.0],
+                                           UfpParams(0.1, 1), seed)
+        etas.update(scheme.eta.tolist())
+    assert etas == {0.0, 1.0}
+
+
+def test_a_zero_pool_estimate_raises_only_in_a_trial_that_reaches_it():
+    # in the one run of seed 10, demand 0 is sampled and kept
+    scheme = pool_equals_the_reference(SHARED_EDGE, [1.0, 1.0],
+                                       UfpParams(0.1, 1), 10)
+    assert scheme.eta.tolist() == [1.0, 0.0] and math.isnan(scheme.keep[1])
+    rng, twin = trial_rng(10, 1), trial_rng(10, 1)
+    outcomes = [outcome(UfpCrScheme.trial, scheme, rng) for _ in range(400)]
+    assert outcomes == [outcome(reference_trial, scheme, twin)
+                        for _ in range(400)]
+    assert EstimateError in outcomes and frozenset() in outcomes
