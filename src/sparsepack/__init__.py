@@ -43,8 +43,7 @@ from .kcspip import (BknsRounder, KcsParams, KcsRounder,
                      exact_pairwise_probabilities, instance_k,
                      sample_probabilities)
 from .lp import simplex_maximize, solve_packing_lp
-from .montecarlo import (EstimationSpec, attenuation_keep_prob,
-                         binomial_stderr, required_samples, trial_rng)
+from .montecarlo import attenuation_keep_prob, binomial_stderr, trial_rng
 from .sksp import (ChanceSchedule, MultiChanceSampler, SkspInstance,
                    StochasticItem, compute_schedule, default_chances,
                    expected_size_instance, ideal_gamma, load_sksp, make_item,

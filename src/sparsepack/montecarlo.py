@@ -2,21 +2,13 @@
 
 Several pipelines need the probability of an acceptance event only to
 divide by it: keeping an accepted element with probability c/estimate
-flattens its acceptance rate to (almost exactly) c.  A multiplicative
-Chernoff bound says
-
-    n = ceil( 3 / (c eps^2) * ln(1/delta) )
-
-independent trials put the relative error of the estimate within eps of
-truth with probability at least 1 - delta whenever the true probability
-is at least c, which bounds the attenuated rate within [c/(1+eps), c].
+flattens its acceptance rate to (almost exactly) c.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,9 +16,9 @@ from .errors import DomainError
 
 log = logging.getLogger(__name__)
 
-# The sksp set-up pools draw each block of uniforms, and simulate their
-# runs, in run slices of at most this many elements, so no float array
-# of a pool grows with its simulation count.
+# sksp draws and simulates the runs of its pools and of `chance_tally`
+# in run slices of at most this many uniforms, so no float array grows
+# with the run count.
 _SLAB = 1 << 18
 
 
@@ -37,28 +29,6 @@ def run_slices(runs, width):
     one slice at a time takes the same uniforms as drawing it whole."""
     step = max(1, _SLAB // max(1, width))
     return [slice(a, min(a + step, runs)) for a in range(0, runs, step)]
-
-
-@dataclass(frozen=True)
-class EstimationSpec:
-    """Target floor c, relative error eps, failure probability delta."""
-
-    c: float
-    epsilon: float = 1e-3
-    delta: float = 1e-4
-
-    def __post_init__(self):
-        if not (0.0 < self.c <= 1.0):
-            raise DomainError(f"c={self.c} must be in (0,1]")
-        if not (0.0 < self.epsilon <= 1.0):
-            raise DomainError(f"epsilon={self.epsilon} must be in (0,1]")
-        if not (0.0 < self.delta < 1.0):
-            raise DomainError(f"delta={self.delta} must be in (0,1)")
-
-
-def required_samples(spec):
-    """Trial count ceil(3/(c eps^2) ln(1/delta)) for the given spec."""
-    return math.ceil(3.0 / (spec.c * spec.epsilon**2) * math.log(1.0 / spec.delta))
 
 
 def attenuation_keep_prob(estimate, c):

@@ -29,14 +29,15 @@ whose totals gamma_T = 1/2, 5/8, 89/128, ... increase toward 1, with
 the finite-k correction beta_t = beta*_t - alpha*_t (sum_{t'<t}
 alpha*_{t'}) / k, clamped at zero.
 
-`_Engine` draws all the randomness of B runs into compact arrays
-(first successful chances, orders, kept flags, scenarios), and the
-estimation pools and `chance_tally` simulate the runs of a draw
-together in a vectorised pass.  A trial takes its single run's
-uniforms as one `rng.random(3Tn + n)` block, which is bit for bit the
-stream a one-run draw takes, and walks it in plain Python, visiting
-only the chances and items that can change its outcome.  So a trial is
-exactly the one row of a pass over the same stream.
+Every simulated run, of a pool, of `chance_tally` or of a trial, reads
+its randomness as one `rng.random(3Tn + n)` block over the T chances
+it simulates: hits, order keys and keep coins (each T x n), then
+scenario uniforms.  `_Engine` reduces the blocks of B runs to compact
+arrays (first successful chances, orders, kept flags, scenarios), and
+the pools and `chance_tally` simulate them together in a vectorised
+pass, one run slice at a time.  A trial walks its one block in plain
+Python, visiting only the chances and items that can change its
+outcome, so it is exactly the one row of a pass over the same stream.
 """
 
 from __future__ import annotations
@@ -55,14 +56,8 @@ from .errors import AttenuationError, ParamError, ValidationError
 # perfbench/probe.py's tracer wraps `sksp.solve_packing_lp`, so the name
 # stays bound here although this module no longer calls it.
 from .lp import solve_packing_lp  # noqa: F401
-from .montecarlo import (EstimationSpec, attenuation_keep_prob, required_samples,
-                         run_slices)
+from .montecarlo import attenuation_keep_prob, run_slices
 
-# A pool draws its runs in chunks of _CHUNK, all four blocks of one chunk
-# before the next, so _CHUNK is part of the pool's stream.  Its memory is
-# not: a chunk keeps small integers and booleans per run, item and
-# chance, and its floats live one run slice at a time.
-_CHUNK = 200_000
 _ATTEN_REL_TOL = 0.01
 
 
@@ -260,20 +255,21 @@ class ProbeOutcome(NamedTuple):
 class _Engine:
     """Shared simulation core: one array draw, a vectorised pass, a walk.
 
-    `_draw` takes all the randomness of B runs as four blocks of
-    uniforms, each drawn one run slice at a time, and keeps compact
-    per-run arrays.  `_pass` simulates the runs of those draws together,
-    stepping through the order positions of each chance and touching
-    only the runs whose item at that position is eligible and kept; the
-    estimation pools and `chance_tally` use it.  `_walk` simulates
-    the one run of a trial, which the harness calls once per trial: it
-    reads the stream a one-run `_draw` reads, in one `rng.random` call,
-    and walks it over Python lists, without the per-call numpy cost that
-    the draw and the pass pay per array.  It follows a `_plan` built
-    once per sampler, which lists only the (chance, item) pairs whose
-    hit can change the outcome, and it orders only the items hit and
-    kept in a chance.  tests/test_sksp_properties.py pins the walk to
-    the pass trial by trial on twin streams.
+    `_draw` takes the randomness of B runs as one block of uniforms, a
+    row per run, and reduces it to compact per-run arrays.  `_passes`
+    simulates B runs one run slice at a time, each slice drawn and then
+    simulated together by `_pass`, which steps through the order
+    positions of each chance and touches only the runs whose item at
+    that position is eligible and kept; the estimation pools and
+    `chance_tally` use it.  `_walk` simulates the one run of a trial,
+    which the harness calls once per trial: it reads one run's row, in
+    one `rng.random` call, and walks it over Python lists, without the
+    per-call numpy cost that the draw and the pass pay per array.  It
+    follows a `_plan` built once per sampler, which lists only the
+    (chance, item) pairs whose hit can change the outcome, and it orders
+    only the items hit and kept in a chance.
+    tests/test_sksp_properties.py pins the walk to the pass run by run
+    on twin streams.
     """
 
     def __init__(self, inst, x):
@@ -321,32 +317,32 @@ class _Engine:
         coin falls below its keeps[t] entry (a None row, an unattenuated
         chance, keeps every item); the realized scenarios (B, n).
 
-        The blocks are drawn in that order (hits, order keys, keep
-        coins, scenario uniforms), each one run slice at a time, which is
-        the stream of one whole-block `rng.random` call per block.  Each
-        slice is reduced to bytes at once.
+        It is one `rng.random((B, 3Tn + n))` block whose row is a run:
+        hits, order keys and keep coins (each T x n), then scenario
+        uniforms, the block a `_walk` takes.
         """
         T, n = yp.shape
-        slices = run_slices(B, T * n)
-        tau = np.empty((B, n), dtype=np.min_scalar_type(T))
-        for s in slices:
-            # chance T always succeeds
-            hit = np.ones((s.stop - s.start, T + 1, n), dtype=bool)
-            np.less(rng.random((s.stop - s.start, T, n)), yp, out=hit[:, :T])
-            tau[s] = hit.argmax(axis=1)
-        orders = np.empty((B, T, n), dtype=np.min_scalar_type(n))
-        for s in slices:
-            orders[s] = rng.random((s.stop - s.start, T, n)).argsort(axis=2)
+        tn = T * n
+        u = rng.random((B, 3 * tn + n))
+        # chance T always succeeds
+        hit = np.ones((B, T + 1, n), dtype=bool)
+        np.less(u[:, :tn].reshape(B, T, n), yp, out=hit[:, :T])
+        tau = hit.argmax(axis=1).astype(np.min_scalar_type(T))
+        orders = u[:, tn:2 * tn].reshape(B, T, n).argsort(axis=2).astype(
+            np.min_scalar_type(n))
         keep = np.array([np.ones(n) if row is None else row for row in keeps],
                         dtype=float).reshape(T, n)
-        kept = np.empty((B, T, n), dtype=bool)
-        for s in slices:
-            np.less(rng.random((s.stop - s.start, T, n)), keep, out=kept[s])
-        scen = np.empty((B, n), dtype=np.min_scalar_type(self.scum.shape[1]))
-        for s in slices:
-            u = rng.random((s.stop - s.start, n))
-            scen[s] = (self.scum < u[:, :, None]).sum(axis=2, dtype=scen.dtype)
+        kept = u[:, 2 * tn:3 * tn].reshape(B, T, n) < keep
+        scen = (self.scum < u[:, 3 * tn:, None]).sum(
+            axis=2, dtype=np.min_scalar_type(self.scum.shape[1]))
         return tau, orders, kept, scen
+
+    def _passes(self, yp, keeps, B, rng):
+        """`_pass` of B runs of `_draw(yp, keeps, B, rng)`, drawn and
+        simulated one run slice at a time; a Generator fills a block row
+        by row, so the slices take the stream of the whole block."""
+        for s in run_slices(B, 3 * yp.size + yp.shape[1]):
+            yield self._pass(self._draw(yp, keeps, s.stop - s.start, rng))
 
     def _pass(self, draws):
         """Simulate every run of `draws`.
@@ -455,12 +451,18 @@ class _Engine:
 
 
 def default_sim_budget(targets):
-    """Pool size from the smallest positive per-chance target rate."""
+    """Pool size from the smallest positive per-chance target rate c.
+
+    A multiplicative Chernoff bound says ceil(3 / (c eps^2) ln(1/delta))
+    runs put an estimate of a rate of at least c within relative error
+    eps of the truth with probability at least 1 - delta; here eps =
+    0.01 and delta = 1e-4.
+    """
     positive = targets[targets > 0]
     if positive.size == 0:
         return 1000
-    return required_samples(EstimationSpec(c=float(positive.min()), epsilon=0.01,
-                                           delta=1e-4))
+    c = float(positive.min())
+    return math.ceil(3.0 / (c * 0.01**2) * math.log(1.0 / 1e-4))
 
 
 class MultiChanceSampler:
@@ -509,19 +511,11 @@ class MultiChanceSampler:
         self.plan = self.engine._plan(self.yp_full.tolist(), keeps)
 
     def _estimate_chance(self, t, keeps_prefix, rng):
-        engine = self.engine
-        counts = np.zeros(engine.inst.n, dtype=np.int64)
-        yp = self.yp_full[: t + 1]
+        counts = np.zeros(self.engine.inst.n, dtype=np.int64)
         keeps = list(keeps_prefix[:t]) + [None]
-        left = self.sim_budget
-        while left > 0:
-            b = min(left, _CHUNK)
-            draws = engine._draw(yp, keeps, b, rng)
-            # runs are independent, so a pass over each slice counts the same
-            for s in run_slices(b, yp.size):
-                added = engine._pass([d[s] for d in draws])[0]
-                counts += (added == t).sum(axis=0)
-            left -= b
+        for added, *_ in self.engine._passes(self.yp_full[:t + 1], keeps,
+                                             self.sim_budget, rng):
+            counts += (added == t).sum(axis=0)
         return counts / self.sim_budget
 
     def _keep_row(self, t, est):
@@ -550,31 +544,28 @@ class MultiChanceSampler:
     def trial(self, rng):
         return self.engine._walk(self.plan, rng)
 
-    def chance_tally(self, trials, rng, batch=10_000):
+    def chance_tally(self, trials, rng):
         """Aggregate many trials without keeping them: per-(chance, item)
-        add counts, capacity violations, and double-add violations.
+        add counts, capacity violations, and double-add violations.  The
+        runs take the stream of as many `trial` calls.
 
         Mutual exclusivity is checked per trial: the pass's count of add
         events must equal the count of distinct items added.
         Returns (counts array of shape (T, n), violations, double_adds).
         """
-        if trials < 1 or batch < 1:
-            raise ParamError(f"trials={trials} and batch={batch} must be >= 1")
+        if trials < 1:
+            raise ParamError(f"trials={trials} must be >= 1")
         engine = self.engine
         counts = np.zeros((self.T, engine.inst.n), dtype=np.int64)
         violations = 0
         double_adds = 0
         caps = np.asarray(engine.inst.capacities)
-        left = trials
-        while left > 0:
-            b = min(left, batch)
-            added, usage, _, events = engine._pass(
-                engine._draw(self.yp_full, self.keeps, b, rng))
+        for added, usage, _, events in engine._passes(self.yp_full, self.keeps,
+                                                      trials, rng):
             for t in range(self.T):
                 counts[t] += (added == t).sum(axis=0)
             double_adds += int((events != (added >= 0).sum(axis=1)).sum())
             violations += int((usage > caps).any(axis=1).sum())
-            left -= b
         return counts, violations, double_adds
 
 

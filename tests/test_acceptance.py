@@ -229,7 +229,7 @@ def test_08_attenuation_hits_per_chance_targets_exactly():
         inst, x, schedule, trial_rng(9, 0, module=103), sim_budget=pool
     )
     counts, violations, double_adds = sampler.chance_tally(
-        trials, trial_rng(9, 1, module=3), batch=20_000
+        trials, trial_rng(9, 1, module=3)
     )
     assert violations == 0
     assert double_adds == 0

@@ -1,37 +1,12 @@
-"""Estimation sample sizes, attenuation arithmetic, and stream derivation."""
+"""Attenuation arithmetic, standard errors, and stream derivation."""
 
 import logging
-import math
 
 import numpy as np
 import pytest
 
 from sparsepack.errors import DomainError
-from sparsepack.montecarlo import (EstimationSpec, attenuation_keep_prob,
-                                   binomial_stderr, required_samples,
-                                   trial_rng)
-
-
-def test_required_samples_known_values():
-    # 3/(c eps^2) ln(1/delta): both cases chosen to be hand-checkable.
-    assert required_samples(EstimationSpec(c=1.0, epsilon=1.0,
-                                           delta=math.exp(-1.0))) == 3
-    assert required_samples(EstimationSpec(c=1.0, epsilon=0.1, delta=1e-4)) == 2764
-
-
-def test_required_samples_scales_inversely_with_floor():
-    lo = required_samples(EstimationSpec(c=0.01))
-    hi = required_samples(EstimationSpec(c=0.1))
-    assert lo == pytest.approx(10 * hi, rel=1e-6)
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(c=0.0), dict(c=1.5), dict(c=0.5, epsilon=0.0),
-    dict(c=0.5, epsilon=1.5), dict(c=0.5, delta=0.0), dict(c=0.5, delta=1.0),
-])
-def test_estimation_spec_domain(kwargs):
-    with pytest.raises(DomainError):
-        EstimationSpec(**kwargs)
+from sparsepack.montecarlo import attenuation_keep_prob, binomial_stderr, trial_rng
 
 
 def test_attenuation_keep_prob_flattens():

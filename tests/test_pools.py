@@ -1,6 +1,7 @@
 """The sksp and ufp set-up pools: the same estimates and stream for any
-slab size (the ufp pool slices no dense block at all), the one-shot
-stream above one sksp chunk, a memory gate on the benchmark's `pools`
+slab size (the ufp pool slices no dense block at all, and sksp's
+`chance_tally` slices as its pools do), each sksp pool run as one walk
+of that pool's chances, a memory gate on the benchmark's `pools`
 instances, and --jobs invariance of the two schemes' reports
 (hypothesis)."""
 
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sparsepack import montecarlo, sksp, ufptree
+from sparsepack import montecarlo, ufptree
 from sparsepack.errors import AttenuationError
 from sparsepack.harness import (CHUNK_TRIALS, ExperimentSpec, empirical_ratio,
                                 gen_random_tree, gen_sksp_instance, report_to_json)
@@ -41,6 +42,15 @@ def sksp_pool(inst, budget):
                               sim_budget=budget), rng
 
 
+def sksp_pool_and_tally(inst, budget):
+    """The pool, its stream, and `chance_tally` counts of `budget` runs
+    with the tally's stream."""
+    sampler, rng = sksp_pool(inst, budget)
+    tally_rng = trial_rng(2, 1)
+    counts = sampler.chance_tally(budget, tally_rng)[0]
+    return sampler, rng, counts, tally_rng
+
+
 def ufp_pool(net, budget):
     rng = trial_rng(3, 0)
     return UfpCrScheme(net, tree_x(net), UfpParams(0.1, budget), rng), rng
@@ -55,12 +65,15 @@ SLABS = [(997, 20_003), (1, 301)]
 @pytest.mark.parametrize("slab, budget", SLABS)
 def test_sksp_pool_does_not_depend_on_the_slab(slab, budget, monkeypatch):
     inst = gen_sksp_instance(10, 6, 3, 3, seed=2)
-    whole, rng = sksp_pool(inst, budget)
+    whole, rng, counts, tally_rng = sksp_pool_and_tally(inst, budget)
     monkeypatch.setattr(montecarlo, "_SLAB", slab)
-    sliced, sliced_rng = sksp_pool(inst, budget)
+    sliced, sliced_rng, sliced_counts, sliced_tally_rng = sksp_pool_and_tally(
+        inst, budget)
     assert sliced.probe_estimates.tobytes() == whole.probe_estimates.tobytes()
     assert np.array(sliced.keeps).tobytes() == np.array(whole.keeps).tobytes()
     assert sliced_rng.bit_generator.state == rng.bit_generator.state
+    assert np.array_equal(sliced_counts, counts)
+    assert sliced_tally_rng.bit_generator.state == tally_rng.bit_generator.state
 
 
 def no_run_slices(runs, width):
@@ -82,41 +95,23 @@ def test_ufp_pool_does_not_depend_on_the_slab(slab, budget, monkeypatch):
     assert sliced_rng.bit_generator.state == rng.bit_generator.state
 
 
-def one_shot_draw(engine, yp, keeps, B, rng):
-    """The draw as four whole-block `rng.random` calls, reduced after."""
-    T, n = yp.shape
-    hit = np.ones((B, T + 1, n), dtype=bool)
-    np.less(rng.random((B, T, n)), yp, out=hit[:, :T])
-    tau = hit.argmax(axis=1)
-    orders = np.argsort(rng.random((B, T, n)), axis=2)
-    coins = rng.random((B, T, n))
-    u = rng.random((B, n))
-    scen = (engine.scum < u[:, :, None]).sum(axis=2)
-    keep = np.array([np.ones(n) if row is None else row for row in keeps])
-    return tau, orders, coins < keep.reshape(T, n), scen
-
-
-def test_a_pool_above_one_chunk_keeps_the_one_shot_stream():
-    inst = gen_sksp_instance(3, 3, 3, 3, seed=1)
-    budget = sksp._CHUNK + 3
-    rng, twin = trial_rng(5, 0), trial_rng(5, 0)
-    sampler = MultiChanceSampler(inst, sksp_x(inst), TWO_POOLS, rng,
-                                 sim_budget=budget)
-    engine = sampler.engine
+def test_each_sksp_pool_run_is_one_walk_of_its_chances():
+    # A pool for chance t runs chances 0..t, the earlier ones attenuated;
+    # its estimate is the count of chance-t adds over B consecutive walks
+    # of that (t + 1)-chance plan, over several run slices.
+    inst = gen_sksp_instance(10, 6, 3, 3, seed=2)
+    budget = 20_003
+    sampler, rng = sksp_pool(inst, budget)
+    engine, twin = sampler.engine, trial_rng(2, 0)
+    assert len(montecarlo.run_slices(budget, 3 * 2 * inst.n + inst.n)) > 1
     for t in range(2):
-        yp, keeps = sampler.yp_full[:t + 1], sampler.keeps[:t] + [None]
+        plan = engine._plan(sampler.yp_full[:t + 1].tolist(),
+                            sampler.keeps[:t] + [None])
         counts = np.zeros(inst.n, dtype=np.int64)
-        for b in (sksp._CHUNK, 3):
-            draws = one_shot_draw(engine, yp, keeps, b, twin)
-            counts += (engine._pass(draws)[0] == t).sum(axis=0)
+        for _ in range(budget):
+            counts += np.equal(engine._walk(plan, twin).added_chance, t)
         assert (counts / budget).tobytes() == sampler.probe_estimates[t].tobytes()
     assert twin.bit_generator.state == rng.bit_generator.state
-    # and the draw itself, sliced at the default slab
-    yp, keeps = sampler.yp_full, sampler.keeps
-    sliced = engine._draw(yp, keeps, budget, trial_rng(6, 0))
-    for got, want in zip(sliced, one_shot_draw(engine, yp, keeps, budget,
-                                               trial_rng(6, 0))):
-        assert np.array_equal(got, want)
 
 
 def traced_peak_mib(build):
@@ -138,7 +133,7 @@ def test_pools_instances_set_up_in_bounded_memory():
     peak = traced_peak_mib(lambda: MultiChanceSampler(
         inst, x, compute_schedule(2, inst.k), trial_rng(2, 0),
         sim_budget=100_000))
-    assert peak <= 20
+    assert peak <= 6
     for seed in (1, 2, 3):
         net = gen_random_tree(60, 40, seed)
         x = tree_x(net)

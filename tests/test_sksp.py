@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import sparsepack.cli as cli
+from sparsepack import montecarlo
 from sparsepack.core import make_instance
 from sparsepack.errors import AttenuationError, ParamError, ValidationError
 from sparsepack.harness import gen_sksp_instance
 from sparsepack.lp import solve_packing_lp
 from sparsepack.montecarlo import binomial_stderr, trial_rng
 from sparsepack.sksp import (ChanceSchedule, MultiChanceSampler, SkspInstance,
-                             compute_schedule, default_chances,
+                             compute_schedule, default_chances, default_sim_budget,
                              expected_size_instance, ideal_gamma, load_sksp,
                              make_item, save_sksp, sksp_from_dict, sksp_to_dict,
                              validate_sksp)
@@ -92,6 +93,20 @@ def test_default_chances_grows_logarithmically():
     assert default_chances(8) == 3
     assert default_chances(20) == 3
     assert default_chances(21) == 4
+
+
+def chernoff_count(c, epsilon, delta):
+    """ceil(3/(c eps^2) ln(1/delta)), the multiplicative Chernoff count."""
+    return math.ceil(3.0 / (c * epsilon**2) * math.log(1.0 / delta))
+
+
+def test_default_sim_budget_is_the_chernoff_count_of_the_smallest_target():
+    assert chernoff_count(1.0, 0.1, 1e-4) == 2764  # by hand
+    for targets in ([[0.5, 0.25], [0.0, 0.125]], [[1.0 / 24, 0.0]],
+                    [[0.1, 0.3], [0.02, 0.0]], [[1.0, 1e-3]]):
+        c = min(v for row in targets for v in row if v > 0)
+        assert default_sim_budget(np.array(targets)) == chernoff_count(c, 0.01, 1e-4)
+    assert default_sim_budget(np.zeros((2, 3))) == 1000
 
 
 # ---------------------------------------------------------------------------
@@ -260,19 +275,17 @@ def test_chance_tally_counts_a_double_add_the_pass_reports(monkeypatch):
         return added, usage, weight, events
 
     monkeypatch.setattr(sampler.engine, "_pass", doubled)
-    _, violations, double_adds = sampler.chance_tally(250, trial_rng(4, 1),
-                                                      batch=100)
+    # a run is 12 uniforms wide (3Tn + n), so slices of 100 runs
+    monkeypatch.setattr(montecarlo, "_SLAB", 1200)
+    _, violations, double_adds = sampler.chance_tally(250, trial_rng(4, 1))
     assert violations == 0
-    assert double_adds == 3  # one per batch of 100, 100 and 50
+    assert double_adds == 3  # one per slice of 100, 100 and 50
 
 
 def test_chance_tally_rejects_a_count_or_batch_below_one():
-    # batch=0 used to loop forever: min(left, 0) never shrank `left`
     inst = disjoint_instance(2, k=2)
     sampler = MultiChanceSampler(inst, [1.0, 1.0], compute_schedule(1, inst.k),
                                  trial_rng(4, 0), attenuate_last=False)
-    with pytest.raises(ParamError, match="batch=0"):
-        sampler.chance_tally(100, trial_rng(4, 1), batch=0)
     with pytest.raises(ParamError, match="trials=0"):
         sampler.chance_tally(0, trial_rng(4, 1))
 
@@ -384,16 +397,16 @@ def test_run_multichance_is_reproducible():
     assert outcomes[0] == outcomes[1]
 
 
-# The estimates were recorded before the engine was vectorised, and so
-# was the report whose digest without objective_std_err is the second
-# entry below; the draws, the pools and the trials must not move.  The
-# first entry, the full report's digest, was recorded again when the
-# objective variance became a merge of per-chunk centred sums.
+# Recorded when every pool run came to read its uniforms as one
+# 3T'n + n block (hits, order keys, keep coins, scenario uniforms), the
+# block a trial of those T' chances reads; the trial stream did not
+# move.  The first entry is the full report's digest, the second that
+# of the report without objective_std_err.
 GOLDEN_REPORT_SHA256 = (
-    "bab351e9eb4b4f907b3d7da88df8a231522099b9129fbc75bd2ec862dab71ac6",
-    "8fb96ae797103ba38e8c8b95c3b37fab1885bb619f636711e8516b9a67229c01")
+    "ab7b87c8457dc6ee137dd6564b6ed60c29c311e666fb1b281a979cb4dfffbbc4",
+    "1292c53c51595f12c9dd71685e7782477dc6177ed0bb7676f997ac5061e1d5d0")
 GOLDEN_ESTIMATES_SHA256 = (
-    "9f0aeb37f9f21bd27d260d772457c985cca76ec354b2930c3bcaedeea7dd70bc")
+    "f9db9a737ac794057b5153fff5d915478181cb437697cb115e614856ab722be4")
 
 
 def test_round_sksp_report_bytes_are_pinned(tmp_path, capsys, report_digests):

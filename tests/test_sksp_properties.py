@@ -1,5 +1,6 @@
 """The sksp engine's one-run walk against its vectorised pass, trial by
-trial on twin streams, over random small instances (hypothesis).
+trial on twin streams, over random small instances (hypothesis), and
+`chance_tally` against as many sampler trials.
 
 Scenario tables include zero-probability scenarios (tied cumulative
 probabilities) and items with an empty support; keep rows are random,
@@ -52,8 +53,8 @@ def keep_rows(n):
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(st.data())
 def test_walks_equal_the_pass_on_a_twin_stream(data):
-    # consecutive walks on one stream against the B = 1 pass of each
-    # run's draws on a twin stream
+    # consecutive walks on one stream against one pass of as many runs
+    # on a twin stream
     inst = data.draw(instances())
     n = inst.n
     x = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
@@ -68,21 +69,23 @@ def test_walks_equal_the_pass_on_a_twin_stream(data):
 
 
 def assert_walks_equal_the_pass(engine, yp, keeps, seed, trials):
-    """Consecutive walks on one stream against the B = 1 pass of each
-    run's draws on a twin stream; returns the walks and the plan."""
+    """Consecutive walks on one stream against the rows of one pass of
+    `trials` runs drawn on a twin stream; returns the walks and the
+    plan."""
     plan = engine._plan(yp.tolist(), keeps)
     rng, twin = trial_rng(seed, 0), trial_rng(seed, 0)
+    added, usage, weight, events = engine._pass(
+        engine._draw(yp, keeps, trials, twin))
     walks = []
-    for _ in range(trials):
+    for b in range(trials):
         walked = engine._walk(plan, rng)
-        added, usage, weight, events = engine._pass(
-            engine._draw(yp, keeps, 1, twin))
-        assert tuple(added[0].tolist()) == walked.added_chance
-        assert tuple(usage[0].tolist()) == walked.usage
-        assert weight[0] == pytest.approx(walked.realized_weight, abs=1e-12)
-        assert events[0] == len(walked.chosen)
-        assert (usage[0] <= np.asarray(engine.inst.capacities)).all()
+        assert tuple(added[b].tolist()) == walked.added_chance
+        assert tuple(usage[b].tolist()) == walked.usage
+        assert weight[b] == pytest.approx(walked.realized_weight, abs=1e-12)
+        assert events[b] == len(walked.chosen)
+        assert (usage[b] <= np.asarray(engine.inst.capacities)).all()
         walks.append(walked)
+    assert rng.bit_generator.state == twin.bit_generator.state
     return walks, plan
 
 
@@ -160,3 +163,21 @@ def test_sampler_trials_equal_the_pass_on_a_twin_stream():
         added = engine._pass(engine._draw(sampler.yp_full, sampler.keeps,
                                           1, twin))[0]
         assert sampler.trial(rng).added_chance == tuple(added[0].tolist())
+
+
+def test_chance_tally_counts_the_trials_of_a_twin_stream():
+    # chance_tally's runs are the sampler's trials, over several run slices
+    inst = gen_sksp_instance(10, 6, 3, 3, seed=2)
+    sampler = MultiChanceSampler(inst, np.full(inst.n, 0.6),
+                                 compute_schedule(2, inst.k), trial_rng(2, 0),
+                                 sim_budget=5_000)
+    trials = 20_003
+    rng, twin = trial_rng(5, 1), trial_rng(5, 1)
+    counts = sampler.chance_tally(trials, rng)[0]
+    walked = np.zeros_like(counts)
+    for _ in range(trials):
+        for j, t in enumerate(sampler.trial(twin).added_chance):
+            if t >= 0:
+                walked[t, j] += 1
+    assert np.array_equal(counts, walked)
+    assert twin.bit_generator.state == rng.bit_generator.state
