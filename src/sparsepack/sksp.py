@@ -32,12 +32,12 @@ alpha*_{t'}) / k, clamped at zero.
 Every simulated run, of a pool, of `chance_tally` or of a trial, reads
 its randomness as one `rng.random(3Tn + n)` block over the T chances
 it simulates: hits, order keys and keep coins (each T x n), then
-scenario uniforms.  `_Engine` reduces the blocks of B runs to compact
-arrays (first successful chances, orders, kept flags, scenarios), and
-the pools and `chance_tally` simulate them together in a vectorised
-pass, one run slice at a time.  A trial walks its one block in plain
-Python, visiting only the chances and items that can change its
-outcome, so it is exactly the one row of a pass over the same stream.
+scenario uniforms.  `_Engine` reduces the blocks of B runs to their
+live events (per chance, the items first hit there and kept, in
+visiting order), and the pools and `chance_tally` simulate those in a
+vectorised pass, one run slice at a time.  A trial walks its one block
+in plain Python, visiting only the chances and items that can change
+its outcome, so it is exactly the one row of a pass over that stream.
 """
 
 from __future__ import annotations
@@ -256,20 +256,18 @@ class _Engine:
     """Shared simulation core: one array draw, a vectorised pass, a walk.
 
     `_draw` takes the randomness of B runs as one block of uniforms, a
-    row per run, and reduces it to compact per-run arrays.  `_passes`
-    simulates B runs one run slice at a time, each slice drawn and then
-    simulated together by `_pass`, which steps through the order
-    positions of each chance and touches only the runs whose item at
-    that position is eligible and kept; the estimation pools and
-    `chance_tally` use it.  `_walk` simulates the one run of a trial,
-    which the harness calls once per trial: it reads one run's row, in
-    one `rng.random` call, and walks it over Python lists, without the
-    per-call numpy cost that the draw and the pass pay per array.  It
-    follows a `_plan` built once per sampler, which lists only the
-    (chance, item) pairs whose hit can change the outcome, and it orders
-    only the items hit and kept in a chance.
-    tests/test_sksp_properties.py pins the walk to the pass run by run
-    on twin streams.
+    row per run, and reduces it to the live events of each chance.
+    `_passes` simulates B runs one run slice at a time, each slice drawn
+    and then simulated together by `_pass`, one rank of live events at a
+    time; the estimation pools and `chance_tally` use it.  `_walk`
+    simulates the one run of a trial, which the harness calls once per
+    trial: it reads one run's row, in one `rng.random` call, and walks
+    it over Python lists, without the per-call numpy cost that the draw
+    and the pass pay per array.  It follows a `_plan` built once per
+    sampler, which lists only the (chance, item) pairs whose hit can
+    change the outcome, and it orders only the items hit and kept in a
+    chance.  tests/test_sksp_properties.py pins the walk to the pass run
+    by run on twin streams.
     """
 
     def __init__(self, inst, x):
@@ -284,58 +282,59 @@ class _Engine:
                       for _, _, bits in item.scenarios] for item in inst.items]
         self.sweights = [[w for _, w, _ in item.scenarios] for item in inst.items]
         self.caps = [b - 1 for b in inst.capacities]  # safe iff usage <= cap-1
-        # Array tables for the pass and the draw.  Supports are padded to
-        # k with the sentinel row m, whose room of 1 never binds since
-        # its bits are 0.  scum holds each item's cumulative scenario
-        # probabilities but the last, padded with inf: the count of
-        # entries below a uniform u is the scenario it picks, as
-        # min(searchsorted(cumsum, u), S - 1) over the full table.
+        # Array tables for the pass, a column per item j (per scenario s
+        # at j * S + s).  Supports are padded to k with the sentinel row
+        # m, whose room of 1 never binds since its bits are 0.  scum
+        # holds each item's cumulative scenario probabilities but the
+        # last, padded with inf.
         n_scen = max((len(item.scenarios) for item in inst.items), default=1)
-        self.usage_dtype = np.min_scalar_type(max(inst.capacities, default=1))
-        self.room = np.append(np.asarray(inst.capacities, dtype=np.int64), 1)
-        self.sup = np.full((n, k), m, dtype=np.int64)
-        self.scum = np.full((n, n_scen), np.inf)
-        self.bit_tab = np.zeros((n, n_scen, k), dtype=self.usage_dtype)
-        self.w_tab = np.zeros((n, n_scen))
+        self.room = np.array([*inst.capacities, 1], dtype=np.min_scalar_type(
+            max(inst.capacities, default=1)))
+        self.sup = np.full((k, n), m, dtype=np.intp)
+        self.scum = np.full((n_scen, n), np.inf)
+        self.bit_tab = np.zeros((k, n * n_scen), dtype=self.room.dtype)
+        self.w_tab = np.zeros(n * n_scen)
         for j, item in enumerate(inst.items):
             s = len(item.scenarios)
-            self.sup[j, :len(item.support)] = item.support
-            self.scum[j, :s - 1] = np.cumsum([p for p, _, _ in item.scenarios])[:-1]
+            self.sup[:len(item.support), j] = item.support
+            self.scum[:s - 1, j] = np.cumsum([p for p, _, _ in item.scenarios])[:-1]
             for r, (_, w, bits) in enumerate(item.scenarios):
-                self.w_tab[j, r] = w
-                self.bit_tab[j, r, :len(bits)] = bits
-        self.cum = self.scum.tolist()  # the walk's scenario search
+                self.w_tab[j * n_scen + r] = w
+                self.bit_tab[:len(bits), j * n_scen + r] = bits
+        self.cum = self.scum.T.tolist()  # the walk's scenario search
 
     def y_probs(self, alphas):
         k = self.inst.k
         return np.minimum(1.0, np.outer(alphas, self.x) / k)
 
     def _draw(self, yp, keeps, B, rng):
-        """Randomness of B runs of chances 0..T-1: each item's first
-        successful chance tau (B, n), T if none succeeds; the per-chance
-        visiting orders (B, T, n); kept (B, T, n), whether each keep
-        coin falls below its keeps[t] entry (a None row, an unattenuated
-        chance, keeps every item); the realized scenarios (B, n).
-
-        It is one `rng.random((B, 3Tn + n))` block whose row is a run:
-        hits, order keys and keep coins (each T x n), then scenario
-        uniforms, the block a `_walk` takes.
+        """B runs of chances 0..T-1, as B and per chance t the live events
+        (runs, items, scenario uniforms): the items first hit at t whose
+        keep coin falls below keeps[t] (a None row keeps every item), run
+        by run and by key within a run.  A run is a row of one
+        `rng.random((B, 3Tn + n))` block: hits, order keys and keep coins
+        (each T x n), then scenario uniforms, the block a `_walk` takes.
         """
         T, n = yp.shape
         tn = T * n
         u = rng.random((B, 3 * tn + n))
-        # chance T always succeeds
-        hit = np.ones((B, T + 1, n), dtype=bool)
-        np.less(u[:, :tn].reshape(B, T, n), yp, out=hit[:, :T])
-        tau = hit.argmax(axis=1).astype(np.min_scalar_type(T))
-        orders = u[:, tn:2 * tn].reshape(B, T, n).argsort(axis=2).astype(
-            np.min_scalar_type(n))
-        keep = np.array([np.ones(n) if row is None else row for row in keeps],
-                        dtype=float).reshape(T, n)
-        kept = u[:, 2 * tn:3 * tn].reshape(B, T, n) < keep
-        scen = (self.scum < u[:, 3 * tn:, None]).sum(
-            axis=2, dtype=np.min_scalar_type(self.scum.shape[1]))
-        return tau, orders, kept, scen
+        flat = u.ravel()
+        keep = np.array([np.ones(n) if row is None else row for row in keeps])
+        hit = u[:, :tn].reshape(B, T, n) < yp
+        live = (u[:, 2 * tn:3 * tn].reshape(B, T, n) < keep) & hit
+        chances = []
+        for t in range(T):
+            if t:  # hit[:, t - 1] is the running OR of the hits before t
+                live[:, t] &= ~hit[:, t - 1]
+                hit[:, t] |= hit[:, t - 1]
+            runs, items = np.nonzero(live[:, t])
+            row = runs * u.shape[1]
+            # by key, then stably by run (a narrow dtype radix-sorts)
+            order = flat[row + tn + t * n + items].argsort()
+            items = items[order[runs[order].astype(np.min_scalar_type(B - 1))
+                                .argsort(kind="stable")]]
+            chances.append((runs, items, flat[row + 3 * tn + items]))
+        return B, chances
 
     def _passes(self, yp, keeps, B, rng):
         """`_pass` of B runs of `_draw(yp, keeps, B, rng)`, drawn and
@@ -345,38 +344,39 @@ class _Engine:
             yield self._pass(self._draw(yp, keeps, s.stop - s.start, rng))
 
     def _pass(self, draws):
-        """Simulate every run of `draws`.
-
-        Returns added (B, n), the chance at which each item was added or
-        -1; usage (B, m); realized weight (B,); and the number of add
-        events of each run.
+        """Simulate every run of `draws`: rank r settles the r-th live
+        event of every run at once, added iff it is safe.  An added event
+        picks its scenario as `_walk`'s `bisect_left` does, the count of
+        `scum` entries strictly below its uniform.  Returns added (B, n),
+        the chance at which each item was added or -1; usage (B, m);
+        realized weight (B,); and the number of add events of each run.
         """
-        tau, orders, kept, scen = draws
-        B, T, n = orders.shape
-        m = self.inst.m
-        added = np.full((B, n), -1, dtype=np.min_scalar_type(-T))
-        usage = np.zeros((B, m + 1), dtype=self.usage_dtype)
-        weight = np.zeros(B)
-        events = np.zeros(B, dtype=np.int64)
-        for t in range(T):
-            items = orders[:, t, :]
-            # live.T[p, b]: run b's item at position p is eligible now and
-            # kept, so it is added iff it is safe; an eligible item that
-            # is not kept changes nothing
-            live = np.ascontiguousarray(
-                np.take_along_axis((tau == t) & kept[:, t], items, axis=1).T)
-            for p in np.flatnonzero(live.any(axis=1)):
-                runs = np.flatnonzero(live[p])
-                j = items[runs, p]
-                sup = self.sup[j]
-                ok = (usage[runs[:, None], sup] < self.room[sup]).all(axis=1)
-                runs, j, sup = runs[ok], j[ok], sup[ok]
-                s = scen[runs, j]
-                usage[runs[:, None], sup] += self.bit_tab[j, s]
-                weight[runs] += self.w_tab[j, s]
-                added[runs, j] = t
-                events[runs] += 1
-        return added, usage[:, :m], weight, events
+        B, chances = draws
+        n, m1, S = self.inst.n, self.room.size, self.scum.shape[0]
+        # flat (run, item) and (run, row) cells; free is a row's room left
+        added = np.full(B * n, -1, dtype=np.min_scalar_type(-len(chances)))
+        free = np.tile(self.room, B)
+        weight, events = np.zeros(B), np.zeros(B, dtype=np.int64)
+        for t, (runs, items, scen_u) in enumerate(chances):
+            # first[b] is run b's first event; active, the runs with an
+            # event of the current rank
+            per_run = np.bincount(runs, minlength=B)
+            first = np.cumsum(per_run) - per_run
+            active = np.flatnonzero(per_run)
+            for rank in range(per_run.max()):
+                e = first[active] + rank
+                j = items[e]
+                cells = self.sup.take(j, axis=1) + active * m1
+                ok = (free[cells] > 0).all(axis=0)
+                r, e, j, cells = active[ok], e[ok], j[ok], cells[:, ok]
+                js = j * S + (self.scum.take(j, axis=1) < scen_u[e]).sum(axis=0)
+                free[cells] -= self.bit_tab.take(js, axis=1)
+                weight[r] += self.w_tab[js]
+                added[r * n + j] = t
+                events[r] += 1
+                active = active[per_run[active] > rank + 1]
+        usage = (self.room - free.reshape(B, m1))[:, :-1]
+        return added.reshape(B, n), usage, weight, events
 
     def _plan(self, yp, keeps):
         """The walk's plan for hit rows yp and keep rows keeps (nested
@@ -415,10 +415,10 @@ class _Engine:
 
         In each chance the items hit there first are marked, and those
         also kept are visited by key, ties by index: an item not kept
-        changes nothing but its mark.  That is the draw's argsort order
-        unless two float64 keys tie, which happens with probability under
+        changes nothing but its mark.  That is the draw's order unless
+        two float64 keys tie, which happens with probability under
         n^2 2^-53 per trial.  `bisect_left` on an item's
-        non-decreasing cumulative row is the draw's scenario count.
+        non-decreasing cumulative row is the pass's scenario count.
         """
         T, chances = plan
         n = self.inst.n

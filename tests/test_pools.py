@@ -1,9 +1,9 @@
 """The sksp and ufp set-up pools: the same estimates and stream for any
 slab size (the ufp pool slices no dense block at all, and sksp's
 `chance_tally` slices as its pools do), each sksp pool run as one walk
-of that pool's chances, a memory gate on the benchmark's `pools`
-instances, and --jobs invariance of the two schemes' reports
-(hypothesis)."""
+of that pool's chances, memory gates on the benchmark's `pools`
+instances and on many scenarios, and --jobs invariance of the two
+schemes' reports (hypothesis)."""
 
 import tracemalloc
 
@@ -140,6 +140,18 @@ def test_pools_instances_set_up_in_bounded_memory():
         peak = traced_peak_mib(lambda: UfpCrScheme(
             net, x, UfpParams(0.1, 100_000), trial_rng(seed, 0)))
         assert peak <= 16, f"tree seed {seed}"
+
+
+def test_sksp_pool_memory_does_not_grow_with_the_scenario_count():
+    # 20 scenarios per item.  A pass that picks the scenario of every
+    # (run, item) pair of a run slice up front holds a runs x items x
+    # scenarios table, and peaks at 3.93 MiB here.
+    inst = gen_sksp_instance(10, 6, 3, 20, seed=2)
+    x = sksp_x(inst)
+    peak = traced_peak_mib(lambda: MultiChanceSampler(
+        inst, x, compute_schedule(2, inst.k), trial_rng(2, 0),
+        sim_budget=100_000))
+    assert peak <= 3.5
 
 
 @pytest.mark.parametrize("alg", ["sksp", "ufp"])

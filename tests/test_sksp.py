@@ -282,7 +282,7 @@ def test_chance_tally_counts_a_double_add_the_pass_reports(monkeypatch):
     assert double_adds == 3  # one per slice of 100, 100 and 50
 
 
-def test_chance_tally_rejects_a_count_or_batch_below_one():
+def test_chance_tally_rejects_a_count_below_one():
     inst = disjoint_instance(2, k=2)
     sampler = MultiChanceSampler(inst, [1.0, 1.0], compute_schedule(1, inst.k),
                                  trial_rng(4, 0), attenuate_last=False)

@@ -7,6 +7,9 @@ probabilities) and items with an empty support; keep rows are random,
 absent (an unattenuated chance) or all zero.  Fixed cases pin what the
 walk's plan leaves out: a trailing run of zero keep rows, items with a
 zero hit probability, and nothing of a zero keep row in the middle.
+Others drive the pass's rank rounds to their full depth, within a
+chance and across two, and pin the scenario of a uniform that equals a
+cumulative probability.
 """
 
 import numpy as np
@@ -150,6 +153,80 @@ def test_an_item_never_hit_is_not_walked():
     assert chances_walked(plan) == [[0, 2, 3, 5]]
     assert all(w.added_chance[1] == w.added_chance[4] == -1 for w in walks)
     assert {j for w in walks for j in w.chosen} == {0, 2, 3, 5}
+
+
+def one_row_instance(n, consumes):
+    """n items on row 0 of capacity 2, each with two equally likely
+    scenarios of different weights; item j consumes a unit of the row in
+    both iff consumes(j)."""
+    items = [make_item([0], [(0.5, 1.0 + j, [int(consumes(j))]),
+                             (0.5, 2.0 + j, [int(consumes(j))])])
+             for j in range(n)]
+    return SkspInstance(m=1, capacities=(2,), items=tuple(items), k=1)
+
+
+def test_every_item_live_drives_the_ranks_to_full_depth():
+    # y = 1 and keep 1: every run has all n items live in chance 0, and
+    # the first two by key fill the row
+    n = 6
+    engine = _Engine(one_row_instance(n, lambda j: True), [1.0] * n)
+    yp, keeps = engine.y_probs([1.0]), [[1.0] * n]
+    B, chances = engine._draw(yp, keeps, 400, trial_rng(25, 0))
+    assert (np.bincount(chances[0][0], minlength=B) == n).all()
+    walks, _ = assert_walks_equal_the_pass(engine, yp, keeps, 25, 400)
+    assert all(len(w.chosen) == 2 for w in walks)
+
+
+def test_items_that_consume_nothing_add_past_the_second_rank():
+    # odd items consume nothing, so a run keeps adding until two even
+    # items fill the row: up to five adds, at ranks 0 to 4
+    n = 6
+    engine = _Engine(one_row_instance(n, lambda j: j % 2 == 0), [1.0] * n)
+    yp, keeps = engine.y_probs([1.0]), [[1.0] * n]
+    walks, _ = assert_walks_equal_the_pass(engine, yp, keeps, 26, 400)
+    assert max(len(w.chosen) for w in walks) == 5
+
+
+def test_the_adds_of_one_chance_fill_the_row_the_next_one_needs():
+    # the items not hit in chance 0 are all live in chance 1, and add
+    # there only while chance 0 left the row room
+    n = 6
+    engine = _Engine(one_row_instance(n, lambda j: True), [1.0] * n)
+    yp, keeps = engine.y_probs([0.5, 1.0]), [[1.0] * n, [1.0] * n]
+    walks, _ = assert_walks_equal_the_pass(engine, yp, keeps, 27, 400)
+    assert all(len(w.chosen) == 2 for w in walks)
+    full = [w for w in walks if w.added_chance.count(0) == 2]
+    assert full and all(1 not in w.added_chance for w in full)
+    assert any(w.added_chance.count(1) == 2 for w in walks)
+
+
+class CraftedUniforms:
+    """A generator stand-in whose `random(shape)` repeats one crafted
+    row of uniforms to fill the shape."""
+
+    def __init__(self, row):
+        self.row = np.asarray(row, dtype=float)
+
+    def random(self, shape):
+        return np.resize(self.row, shape)
+
+
+@pytest.mark.parametrize("u, weight", [(0.25, 1.0), (0.75, 2.0)])
+def test_a_uniform_on_a_cumulative_probability_picks_the_lower_scenario(
+        u, weight):
+    # cumulative probabilities 0.25 and 0.75 are exact; only entries
+    # strictly below the uniform count, so one equal to 0.25 picks
+    # scenario 0 and one equal to 0.75 scenario 1
+    item = make_item([0], [(0.25, 1.0, [1]), (0.5, 2.0, [1]), (0.25, 3.0, [1])])
+    engine = _Engine(SkspInstance(m=1, capacities=(1,), items=(item,), k=1),
+                     [1.0])
+    yp = engine.y_probs([1.0])
+    # one run's block: hit, order key, keep coin, scenario uniform
+    rng = CraftedUniforms([0.0, 0.5, 0.0, u])
+    walked = engine._walk(engine._plan(yp.tolist(), [None]), rng)
+    _, _, weights, _ = engine._pass(engine._draw(yp, [None], 3, rng))
+    assert walked.realized_weight == weight
+    assert weights.tolist() == [weight] * 3
 
 
 def test_sampler_trials_equal_the_pass_on_a_twin_stream():
