@@ -137,29 +137,15 @@ def is_matching(h, edge_ids):
 
 
 def _sweep(h, marked, keys):
-    """Greedy pass over marked edges by (key, edge index).
-
-    A marked edge that shares no vertex with another marked edge is
-    accepted whatever the order, so the greedy loop walks only the
-    clashing ones.  The result is built in key order, as the full sweep
-    would add the edges."""
-    if len(marked) < 2:
-        return frozenset(marked)
-    marked = np.asarray(marked, dtype=np.intp)
-    order = marked[np.lexsort((marked, keys))]
-    cols = h.vertex_array[:, order]
-    hits = np.bincount(cols.ravel(), minlength=h.m + 1)
-    hits[h.m] = 0
-    clash = (hits[cols] > 1).any(axis=0)
-    accept = ~clash
-    edges = h.edges
-    matched_vertices = set()
-    for i in np.flatnonzero(clash).tolist():
-        vs = edges[order[i]][0]
-        if matched_vertices.isdisjoint(vs):
-            accept[i] = True
-            matched_vertices.update(vs)
-    return frozenset(order[accept].tolist())
+    """Greedy pass over marked edges by (key, edge index).  The result is
+    built in key order, so a float sum over it adds in that order."""
+    edges, taken, picked = h.edges, set(), []
+    for _, j in sorted(zip(keys, marked)):
+        vs = edges[j][0]
+        if taken.isdisjoint(vs):
+            taken.update(vs)
+            picked.append(j)
+    return frozenset(picked)
 
 
 def _block_sweep(h, size, trial, edge, key):
@@ -223,7 +209,7 @@ class HmRounder:
         for marked edges; unmarked edges can never affect the outcome),
         tie-break by edge index."""
         marked = np.nonzero(rng.random(self.h.n) < self.rates)[0].tolist()
-        keys = rng.random(len(marked))
+        keys = rng.random(len(marked)).tolist()
         return _sweep(self.h, marked, keys)
 
     def trials(self, rng, size):

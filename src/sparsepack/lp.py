@@ -17,7 +17,9 @@ length is taken; ties go to the lowest index, so the returned vertex is
 deterministic.  The box x_j <= 1 is a variable bound, met by bound
 flips rather than by rows, and the all-slack basis is feasible, so no
 phase-1 is needed.  Each pivot is one rank-1 update over the tableau
-rows where the entering column is nonzero.  Desk-scale only.
+rows where the entering column is nonzero and the columns where the
+pivot row is nonzero; every other cell would lose only a zero product.
+Desk-scale only.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ BOX_TOL = 1e-7    # a solved x may leave [0, 1] or a row by this much
 
 
 def simplex_maximize(c, D, f, upper=None):
-    """max c.x s.t. D x <= f, 0 <= x <= upper, with f >= 0 componentwise.
+    """max c.x s.t. D x <= f, 0 <= x <= upper, with c, D and f finite and
+    f >= 0 componentwise.
 
     `upper` is one bound for every variable or one per variable; None
     leaves x unbounded above.  Returns (x, objective) at an optimal
@@ -61,7 +64,10 @@ def simplex_maximize(c, D, f, upper=None):
     D = np.asarray(D, dtype=float)
     f = np.asarray(f, dtype=float)
     r, n = D.shape
-    if np.any(f < 0):
+    if not (np.isfinite(c).all() and np.isfinite(D).all()
+            and np.isfinite(f).all()):
+        raise InternalInvariantError("simplex requires finite c, D and f")
+    if not np.all(f >= 0):
         raise InternalInvariantError("simplex requires nonnegative rhs")
     ub = np.full(n + r, np.inf)
     if upper is not None:
@@ -72,35 +78,37 @@ def simplex_maximize(c, D, f, upper=None):
     # tableau rows: [D | I | f]; bottom row: [-c | 0 | 0].  A complemented
     # variable's column is negated, and the last column holds the basic
     # variables' values.
-    T = np.zeros((r + 1, n + r + 1))
+    width = n + r + 1
+    T = np.zeros((r + 1, width))
     T[:r, :n] = D
     T[:r, n : n + r] = np.eye(r)
     T[:r, -1] = f
     T[r, :n] = -c
+    cells = T.reshape(-1)
+    cost = T[r, :-1]
     basis = np.arange(n, n + r)
+    basic_ub = ub[basis]   # the bound of each row's basic variable
     flipped = np.zeros(n + r, dtype=bool)
 
     max_iters = 50 * (n + r) + 1000
     degenerate = False
     for _ in range(max_iters):
-        candidates = np.flatnonzero(T[r, :-1] < -PIVOT_TOL)
-        if candidates.size == 0:
+        enter = int(cost.argmin())
+        if not cost[enter] < -PIVOT_TOL:
             x = np.zeros(n + r)
             x[basis] = T[:r, -1]
             x = np.where(flipped, ub - x, x)[:n]
             return x, float(c @ x)
         if degenerate:
-            enter = int(candidates[0])  # Bland: smallest index
-        else:
-            enter = int(candidates[np.argmin(T[r, candidates])])
-        col, rhs = T[:r, enter], T[:r, -1]
+            enter = int((cost < -PIVOT_TOL).argmax())  # Bland: smallest index
         # Raising the entering variable by t moves basic row i by -t col[i]:
-        # down to 0 where col > 0, up to its bound where col < 0.
-        down = col > PIVOT_TOL
-        up = (col < -PIVOT_TOL) & np.isfinite(ub[basis])
-        rows = np.flatnonzero(down | up)
-        ratios = (np.where(down[rows], rhs[rows], ub[basis[rows]] - rhs[rows])
-                  / np.abs(col[rows]))
+        # down to 0 where col > 0, up to its bound where col < 0 (never,
+        # if that bound is infinite: the ratio is then infinite too).
+        col = T[:r, enter]
+        rows = (np.abs(col) > PIVOT_TOL).nonzero()[0]
+        step, rhs = col[rows], T[rows, -1]
+        down = step > 0
+        ratios = np.where(down, rhs, basic_ub[rows] - rhs) / np.abs(step)
         best = min(ratios.min(initial=np.inf), ub[enter])
         if best == np.inf:
             raise UnboundedError("LP unbounded along column %d" % enter)
@@ -110,21 +118,29 @@ def simplex_maximize(c, D, f, upper=None):
             T[:, enter] *= -1.0
             flipped[enter] ^= True
             continue
-        tied = rows[ratios <= best + TIE_TOL]
-        leave = tied[np.argmin(basis[tied])]  # Bland on basic index
-        if not down[leave]:
+        tied = (ratios <= best + TIE_TOL).nonzero()[0]
+        pick = tied[basis[rows[tied]].argmin()]  # Bland on basic index
+        leave = rows[pick]
+        pivot_row = T[leave]
+        if not down[pick]:
             # The leaving variable stops at its bound: complement it, which
             # keeps its column a unit vector and makes the pivot positive.
             out = basis[leave]
-            T[leave] *= -1.0
-            T[leave, out] = 1.0
-            T[leave, -1] += ub[out]
+            pivot_row *= -1.0
+            pivot_row[out] = 1.0
+            pivot_row[-1] += ub[out]
             flipped[out] ^= True
-        T[leave] /= T[leave, enter]
-        nz = np.flatnonzero(T[:, enter])
+        pivot_row /= pivot_row[enter]
+        # The rank-1 update on the rows where the entering column is
+        # nonzero and the columns where the pivot row is: every other cell
+        # would only lose a product that is zero.
+        nz = T[:, enter].nonzero()[0]
         nz = nz[nz != leave]
-        T[nz] -= np.outer(T[nz, enter], T[leave])
+        touched = pivot_row.nonzero()[0]
+        flat = (nz * width)[:, None] + touched
+        cells[flat] -= T[nz, enter][:, None] * pivot_row[touched]
         basis[leave] = enter
+        basic_ub[leave] = ub[enter]
     raise InternalInvariantError("simplex failed to converge")
 
 

@@ -6,6 +6,7 @@ gives a linear system, and the optimum of a bounded nonempty LP sits at
 one of the feasible solutions among them.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -215,3 +216,46 @@ def test_objective_matches_highs_on_benchmark_sized_lps(case):
     assert highs.status == 0
     sol = solve_packing_lp(inst, strengthen=True)
     assert sol.objective == pytest.approx(-highs.fun, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad, value", [
+    ("f", np.nan), ("D", np.nan), ("c", np.nan), ("D", np.inf)])
+def test_simplex_rejects_non_finite_input(bad, value):
+    lp = {"c": np.array([1.0, 2.0]), "D": np.array([[1.0, 1.0], [1.0, 0.0]]),
+          "f": np.array([1.0, 1.0])}
+    lp[bad].flat[0] = value
+    with pytest.raises(InternalInvariantError, match="finite"):
+        simplex_maximize(lp["c"], lp["D"], lp["f"], upper=1.0)
+
+
+# sha256 of x.tobytes() and repr(objective) of the solver's raw vertex (no
+# clipping, so float dust and signs of zero count) on the LPs of the
+# benchmark's `lp` workload: `gen kcs --n 150 --m 75 --k 4` strengthened,
+# and `gen hyper --vertices 300 --edges 700 --k 3` through
+# hypergraph_lp_instance, plain.
+LP_PINS = {
+    ("kcs", 1): (
+        "2ac1d0055958a7ab0b0984170f3a5b6a23e517041a0061575106a9f9b6fb498d",
+        "23.539848598702285"),
+    ("kcs", 2): (
+        "c9318ef59610bf16f8d0ac0ebe1a900435c82a27dcb4b8f6bc3802e18e80fe06",
+        "25.222477214537456"),
+    ("hyper", 1): (
+        "0bba67f1c08972ad5c5eacf2b28d2a486f3f4207872803c28d22a774807f8041",
+        "119.70382714856711"),
+    ("hyper", 2): (
+        "46cb3f9bfaa875b32ecac5ae2166273835c145df4f661c91faf4a88823234b90",
+        "127.98014987979259"),
+}
+
+
+@pytest.mark.parametrize("family, seed", sorted(LP_PINS))
+def test_benchmark_lp_vertices_keep_their_bytes(family, seed):
+    if family == "kcs":
+        c, D, f = build_relaxation(gen_random_kcs(150, 75, 4, seed), True)
+    else:
+        h = gen_random_hypergraph(300, 700, 3, seed)
+        c, D, f = build_relaxation(hypergraph_lp_instance(h), False)
+    x, obj = simplex_maximize(c, D, f, upper=1.0)
+    digest = hashlib.sha256(x.tobytes()).hexdigest()
+    assert (digest, repr(obj)) == LP_PINS[family, seed]

@@ -8,13 +8,16 @@ calls it more or less often, would leave that layer's metric silently
 at zero or wrong.  Here each name gets a counting shim in the same way,
 and a run must call each exactly once per trial (`trial_rng` once per
 chunk, and once more for the set-up pool of sksp and ufp) and hand back
-the same types as before.
+the same types as before.  The LP names are wrapped too: each solve
+must go through `cli.solve_packing_lp` (solve-lp) or
+`harness.solve_packing_lp` (round without --x), and build its relaxation
+with `lp.build_relaxation`, once.
 """
 
 import pytest
 
-from sparsepack import graphcolor, harness, kcspip, sksp, ufptree
-from sparsepack.core import make_instance
+from sparsepack import cli, graphcolor, harness, kcspip, lp, sksp, ufptree
+from sparsepack.core import FractionalSolution, make_instance
 from sparsepack.graphcolor import Coloring, DiGraph
 from sparsepack.hypermatch import is_matching, make_hypergraph
 from sparsepack.sksp import ProbeOutcome, SkspInstance, make_item
@@ -33,6 +36,10 @@ TRACED = {
     "UfpCrScheme.trial": (ufptree.UfpCrScheme, "trial", frozenset),
     "check_feasible": (harness, "check_feasible", bool),
     "trial_rng": (harness, "trial_rng", object),
+    "cli.solve_packing_lp": (cli, "solve_packing_lp", FractionalSolution),
+    "harness.solve_packing_lp": (harness, "solve_packing_lp", FractionalSolution),
+    "sksp.solve_packing_lp": (sksp, "solve_packing_lp", FractionalSolution),
+    "lp.build_relaxation": (lp, "build_relaxation", tuple),
 }
 
 TRIALS = harness.CHUNK_TRIALS + 100   # a full chunk and a partial one
@@ -130,3 +137,32 @@ def test_ufp_checks_each_trial_once_on_its_packing_view(calls):
     assert calls == dict.fromkeys(TRACED, 0) | {
         "UfpCrScheme.trial": TRIALS, "check_feasible": TRIALS,
         "trial_rng": CHUNKS + 1}
+
+
+@pytest.fixture
+def kcs_path(tmp_path):
+    # requested before `calls`, so the generator's own stream goes uncounted
+    path = str(tmp_path / "kcs.json")
+    assert cli.main(["gen", "kcs", "--n", "12", "--m", "6", "--k", "3",
+                     "--seed", "4", "-o", path]) == 0
+    return path
+
+
+def test_solve_lp_solves_once_through_the_cli_name(kcs_path, calls, tmp_path):
+    assert cli.main(["solve-lp", kcs_path, "-o", str(tmp_path / "lp.json")]) == 0
+    assert calls == dict.fromkeys(TRACED, 0) | {
+        "cli.solve_packing_lp": 1, "lp.build_relaxation": 1}
+
+
+def test_round_without_x_solves_once_through_the_harness_name(
+        kcs_path, calls, capsys):
+    trials = 50
+    assert cli.main(["round", "kcspip", "--instance", kcs_path, "--trials",
+                     str(trials), "--seed", "3", "--jobs", "1"]) == 0
+    capsys.readouterr()
+    per_trial = ("KcsRounder.trial", "KcsRounder.survivors",
+                 "build_conflict_digraph", "remove_anomalous",
+                 "color_directed_graph", "peel_order", "check_feasible")
+    assert calls == {key: trials if key in per_trial else 0
+                     for key in TRACED} | {
+        "trial_rng": 1, "harness.solve_packing_lp": 1, "lp.build_relaxation": 1}
