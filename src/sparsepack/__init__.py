@@ -43,7 +43,7 @@ from .kcspip import (BknsRounder, KcsParams, KcsRounder,
                      exact_pairwise_probabilities, instance_k,
                      sample_probabilities)
 from .lp import simplex_maximize, solve_packing_lp
-from .montecarlo import attenuation_keep_prob, binomial_stderr, trial_rng
+from .montecarlo import binomial_stderr, trial_rng
 from .sksp import (ChanceSchedule, MultiChanceSampler, SkspInstance,
                    StochasticItem, compute_schedule, default_chances,
                    expected_size_instance, ideal_gamma, load_sksp, make_item,

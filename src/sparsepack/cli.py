@@ -90,10 +90,11 @@ def _load_x(path, n):
 # Subcommand handlers
 
 def _cmd_gen(args):
+    if args.family == "gap":  # draws nothing, so it takes no seed
+        _emit(instance_to_dict(gen_gap_instance(args.k, eps=args.eps)), args.output)
+        return
     seed = _resolve_seed(args.seed)
-    if args.family == "gap":
-        obj = instance_to_dict(gen_gap_instance(args.k, eps=args.eps))
-    elif args.family == "kcs":
+    if args.family == "kcs":
         obj = instance_to_dict(gen_random_kcs(args.n, args.m, args.k, seed))
     elif args.family == "hyper":
         obj = hypergraph_to_dict(
@@ -124,7 +125,7 @@ def _cmd_round(args):
         "alpha": args.alpha, "ell": args.ell, "d": args.d,
         "epsilon": args.epsilon, "T": args.chances,
         "sim_budget": args.sim_budget,
-        "attenuate_last": not args.no_attenuate_last,
+        "attenuate_last": False if args.no_attenuate_last else None,
     }
     spec = ExperimentSpec(
         algorithm=args.algorithm,
@@ -214,7 +215,6 @@ def build_parser():
     g = fam.add_parser("gap", help="tight family with n = 2k - 1")
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--eps", type=float, default=None)
-    _add_seed(g)
     _add_output(g)
     g.set_defaults(func=_cmd_gen)
 

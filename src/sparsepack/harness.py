@@ -34,8 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (FEAS_TOL, PackingInstance, check_feasible, load_instance,
-                   make_instance, objective_value, require_valid)
+from .core import (FEAS_TOL, check_feasible, load_instance, make_instance,
+                   objective_value, require_fractional, require_valid)
 from .errors import (InternalInvariantError, ParamError, SizeError,
                      ValidationError)
 from .hypermatch import (HmRounder, attenuation_g, hypergraph_lp_instance,
@@ -247,17 +247,8 @@ class RoundingReport:
 class ExperimentSpec:
     """What to run: algorithm name, the instance itself, trial count,
     master seed, process fan-out, per-algorithm parameters, and an
-    optional JSON report sink path.
-
-    Recognized params keys:
-        kcspip  alpha, ell, d, epsilon (applied over KcsParams.defaults)
-        bkns    alpha
-        sksp    T, sim_budget, attenuate_last
-        ufp     alpha (default: the balance-optimal rate, whose keep
-                probability is nearly zero; experiments that want to
-                see routing should pass a moderate alpha), sim_budget
-        any     compare_opt (packing instances: attach the exact optimum)
-    Keys a scheme does not read are ignored."""
+    optional JSON report sink path.  A params key that the scheme's
+    `Scheme.params` does not list raises ParamError."""
 
     algorithm: str
     instance: object
@@ -277,6 +268,13 @@ class ExperimentSpec:
             raise ParamError("trials must be positive")
         if self.jobs < 1:
             raise ParamError("jobs must be positive")
+        reads = SCHEMES[self.algorithm].params
+        unread = sorted(set(self.params) - reads)
+        if unread:
+            raise ParamError(
+                f"{self.algorithm} reads no parameter {', '.join(unread)}; "
+                f"it reads {', '.join(sorted(reads)) or 'none'}"
+            )
 
 
 def _build_kcspip(inst, x, params, seed):
@@ -323,6 +321,8 @@ def _build_hm(h, x, params, seed):
 def _build_ufp(net, x, params, seed):
     alpha = params.get("alpha")
     if alpha is None:
+        # the balance-optimal rate, whose keep probability is nearly
+        # zero; pass a moderate alpha to see routing
         alpha = optimize_alpha()[0]
     budget = params.get("sim_budget")
     up = UfpParams(alpha) if budget is None else UfpParams(alpha, budget)
@@ -417,6 +417,10 @@ class Scheme:
                blocks of trials (`_hm_chunk`); the other schemes call
                runner.trial(rng) once per trial (`_packing_chunk`,
                `_sksp_chunk`).
+    params     the `ExperimentSpec.params` keys it reads: those of build
+               (kcspip's over KcsParams.defaults; sksp's T is the
+               --chances count), and compare_opt, which attaches the
+               exact optimum of a packing instance to the report
     """
 
     stream: int
@@ -425,47 +429,45 @@ class Scheme:
     strengthen: bool
     build: Callable
     run_chunk: Callable
+    params: frozenset
 
 
 SCHEMES = {
     "kcspip": Scheme(1, load_instance, require_valid, True, _build_kcspip,
-                     _packing_chunk),
+                     _packing_chunk,
+                     frozenset({"alpha", "ell", "d", "epsilon", "compare_opt"})),
     "bkns": Scheme(2, load_instance, require_valid, True, _build_bkns,
-                   _packing_chunk),
+                   _packing_chunk, frozenset({"alpha", "compare_opt"})),
     "sksp": Scheme(3, load_sksp, expected_size_instance, False, _build_sksp,
-                   _sksp_chunk),
+                   _sksp_chunk, frozenset({"T", "sim_budget", "attenuate_last"})),
     "hm": Scheme(4, load_hypergraph, hypergraph_lp_instance, False, _build_hm,
-                 _hm_chunk),
+                 _hm_chunk, frozenset()),
     "ufp": Scheme(5, load_tree, tree_lp_instance, False, _build_ufp,
-                  _packing_chunk),
+                  _packing_chunk, frozenset({"alpha", "sim_budget"})),
 }
 ALGORITHMS = tuple(sorted(SCHEMES))
 
 
 def _run_chunks(payload):
-    """Worker: run a list of trial chunks and return partial tallies.
+    """Worker: run a list of trial chunks and return one record per
+    chunk: (c, size, counts, violation count, its first ten infeasible
+    offsets, objective sum, centred sum of squares m2).
 
     The payload names the algorithm rather than carrying its SCHEMES
     entry, whose functions need not pickle."""
     alg, runner, view, seed, trials, chunk_ids = payload
     scheme = SCHEMES[alg]
-    tally = np.zeros(view.n, dtype=np.int64)
-    violations = 0
-    flagged = []
-    obj_parts = []
+    records = []
     for c in chunk_ids:
         rng = trial_rng(seed, c, module=scheme.stream)
         lo = c * CHUNK_TRIALS
         size = min(trials, lo + CHUNK_TRIALS) - lo
         counts, weights, bad = scheme.run_chunk(view, runner, rng, size)
-        tally += counts
-        violations += len(bad)
-        flagged.extend((c, off) for off in bad[:10 - len(flagged)])
         total = sum(weights)
         mean = total / size
-        obj_parts.append(
-            (c, size, total, math.fsum([(w - mean) ** 2 for w in weights])))
-    return tally, violations, obj_parts, flagged
+        records.append((c, size, counts, len(bad), bad[:10], total,
+                        math.fsum([(w - mean) ** 2 for w in weights])))
+    return records
 
 
 def empirical_ratio(spec, x=None):
@@ -484,51 +486,41 @@ def empirical_ratio(spec, x=None):
     view = scheme.packing(instance)
     if x is None:
         x = solve_packing_lp(view, strengthen=scheme.strengthen).x
-    x = [float(v) for v in x]
-    if len(x) != view.n:
-        raise ValidationError(f"x has length {len(x)}, expected {view.n}")
+    x = require_fractional(x, view.n).tolist()
     runner, floors, notes = scheme.build(instance, x, spec.params, spec.seed)
 
     n_chunks = (spec.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    payloads = []
     jobs = min(spec.jobs, n_chunks)
-    for w in range(jobs):
-        ids = list(range(w, n_chunks, jobs))
-        if ids:
-            payloads.append(
-                (alg, runner, view, spec.seed, spec.trials, ids)
-            )
+    payloads = [(alg, runner, view, spec.seed, spec.trials,
+                 list(range(w, n_chunks, jobs))) for w in range(jobs)]
     if jobs <= 1:
         parts = [_run_chunks(p) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_run_chunks, payloads))
 
+    # Merge the chunks in chunk order; the float association, and with
+    # it the report bytes, must not depend on the worker count.  Each
+    # chunk's centred sum of squares is merged into the running m2
+    # (Chan, Golub and LeVeque), which avoids the cancellation of
+    # E[w^2] - E[w]^2.
     counts = np.zeros(view.n, dtype=np.int64)
     violations = 0
-    obj_parts = []
     flagged = []
-    for pc, pv, po, pf in parts:
-        counts += pc
-        violations += pv
-        obj_parts.extend(po)
-        flagged.extend(pf)
-    for c, off in sorted(flagged)[:10]:
-        notes.append(f"feasibility violation at chunk {c} offset {off}")
-
-    # Reduce the objective in chunk order; the float association, and
-    # with it the report bytes, must not depend on the worker count.
-    # Each chunk's centred sum of squares m2 is merged into the running
-    # one (Chan, Golub and LeVeque), which avoids the cancellation of
-    # E[w^2] - E[w]^2.
     obj_sum = 0.0
     m2 = 0.0
     seen = 0
-    for _, size, part_sum, part_m2 in sorted(obj_parts):
+    records = sorted((r for part in parts for r in part), key=operator.itemgetter(0))
+    for c, size, part_counts, part_bad, offsets, part_sum, part_m2 in records:
+        counts += part_counts
+        violations += part_bad
+        flagged.extend((c, off) for off in offsets)
         delta = part_sum / size - (obj_sum / seen if seen else 0.0)
         m2 += part_m2 + delta * delta * seen * size / (seen + size)
         obj_sum += part_sum
         seen += size
+    for c, off in flagged[:10]:
+        notes.append(f"feasibility violation at chunk {c} offset {off}")
 
     trials = spec.trials
     mean_obj = obj_sum / trials
@@ -551,7 +543,7 @@ def empirical_ratio(spec, x=None):
         ))
 
     opt_value = None
-    if spec.params.get("compare_opt") and isinstance(instance, PackingInstance):
+    if spec.params.get("compare_opt"):
         opt_value = brute_force_opt(instance)[0]
 
     stream = (

@@ -56,7 +56,7 @@ from .errors import AttenuationError, ParamError, ValidationError
 # perfbench/probe.py's tracer wraps `sksp.solve_packing_lp`, so the name
 # stays bound here although this module no longer calls it.
 from .lp import solve_packing_lp  # noqa: F401
-from .montecarlo import attenuation_keep_prob, run_slices
+from .montecarlo import run_slices
 
 _ATTEN_REL_TOL = 0.01
 
@@ -310,18 +310,18 @@ class _Engine:
     def _draw(self, yp, keeps, B, rng):
         """B runs of chances 0..T-1, as B and per chance t the live events
         (runs, items, scenario uniforms): the items first hit at t whose
-        keep coin falls below keeps[t] (a None row keeps every item), run
-        by run and by key within a run.  A run is a row of one
-        `rng.random((B, 3Tn + n))` block: hits, order keys and keep coins
-        (each T x n), then scenario uniforms, the block a `_walk` takes.
+        keep coin falls below keeps[t] (a row of ones keeps every item),
+        run by run and by key within a run; yp and keeps are (T, n).  A
+        run is a row of one `rng.random((B, 3Tn + n))` block: hits, order
+        keys and keep coins (each T x n), then scenario uniforms, the
+        block a `_walk` takes.
         """
         T, n = yp.shape
         tn = T * n
         u = rng.random((B, 3 * tn + n))
         flat = u.ravel()
-        keep = np.array([np.ones(n) if row is None else row for row in keeps])
         hit = u[:, :tn].reshape(B, T, n) < yp
-        live = (u[:, 2 * tn:3 * tn].reshape(B, T, n) < keep) & hit
+        live = (u[:, 2 * tn:3 * tn].reshape(B, T, n) < keeps) & hit
         chances = []
         for t in range(T):
             if t:  # hit[:, t - 1] is the running OR of the hits before t
@@ -380,9 +380,9 @@ class _Engine:
 
     def _plan(self, yp, keeps):
         """The walk's plan for hit rows yp and keep rows keeps (nested
-        lists; a None row keeps every item, as 1.0 does): the T of the
-        block, then per chance the (item, hit, y, coin, keep, key)
-        entries it walks, hit, coin and key indexing the block.
+        lists, as `_draw` takes them): the T of the block, then per chance
+        the (item, hit, y, coin, keep, key) entries it walks, hit, coin
+        and key indexing the block.
 
         Item j is listed in chance t iff its hit probability y there is
         positive and some chance from t on may add it (positive y and
@@ -393,7 +393,6 @@ class _Engine:
         """
         T, n = len(yp), self.inst.n
         tn = T * n
-        keeps = [[1.0] * n if row is None else list(row) for row in keeps]
         last = [-1] * n   # the last chance that may add each item
         for t, (yp_t, keep_t) in enumerate(zip(yp, keeps)):
             for j in range(n):
@@ -474,7 +473,10 @@ class MultiChanceSampler:
     chance t left free) give the per-item unattenuated add frequencies
     ph[t].  Keep probabilities are then min(1, target/ph).  An estimate
     short of its target by more than simulation tolerance raises
-    AttenuationError, the signal that the schedule is infeasible here.
+    AttenuationError, the signal that the schedule is infeasible here;
+    one short within it keeps every hit item and is noted in `underflow`.
+    `keeps` holds the rows as a (T, n) array, a free chance (the last
+    one under attenuate_last=False) as a row of ones.
     """
 
     def __init__(self, inst, x, schedule, rng, sim_budget=None,
@@ -492,54 +494,46 @@ class MultiChanceSampler:
             raise ParamError("sim_budget must be positive")
         self.probe_estimates = np.full((self.T, n), np.nan)
         self.underflow = []
-        keeps = []
-        for t in range(self.T):
-            if t == self.T - 1 and not attenuate_last:
-                keeps.append(None)
-                continue
+        self.keeps = np.ones((self.T, n))
+        for t in range(self.T if attenuate_last else self.T - 1):
             if not self.targets[t].any():
                 # Nothing may be added here, so no pool is needed; its
                 # probe_estimates row stays NaN.  compute_schedule only
                 # zeroes a suffix of chances, so skipping shifts no later
                 # pool's stream.
-                keeps.append([0.0] * n)
+                self.keeps[t] = 0.0
                 continue
-            est = self._estimate_chance(t, keeps, rng)
-            self.probe_estimates[t] = est
-            keeps.append(self._keep_row(t, est))
-        self.keeps = keeps
-        self.plan = self.engine._plan(self.yp_full.tolist(), keeps)
-
-    def _estimate_chance(self, t, keeps_prefix, rng):
-        counts = np.zeros(self.engine.inst.n, dtype=np.int64)
-        keeps = list(keeps_prefix[:t]) + [None]
-        for added, *_ in self.engine._passes(self.yp_full[:t + 1], keeps,
-                                             self.sim_budget, rng):
-            counts += (added == t).sum(axis=0)
-        return counts / self.sim_budget
+            # the pool runs chance t free: its keep row is still ones
+            counts = np.zeros(n, dtype=np.int64)
+            for added, *_ in self.engine._passes(
+                    self.yp_full[:t + 1], self.keeps[:t + 1], self.sim_budget, rng):
+                counts += (added == t).sum(axis=0)
+            self.probe_estimates[t] = counts / self.sim_budget
+            self.keeps[t] = self._keep_row(t, self.probe_estimates[t])
+        self.plan = self.engine._plan(self.yp_full.tolist(), self.keeps.tolist())
 
     def _keep_row(self, t, est):
-        row = []
-        for j, target in enumerate(self.targets[t]):
-            if target <= 0.0:
-                row.append(0.0)
-                continue
-            tol = _ATTEN_REL_TOL * target + 3.0 * math.sqrt(
-                max(est[j] * (1 - est[j]), 0.0) / self.sim_budget
+        """min(1, target/est) per item, 0 where the target is 0.  Raises
+        AttenuationError at the first item whose estimate falls short of
+        its target by more than the tolerance, and notes each one short
+        within it in `underflow`."""
+        target = self.targets[t]
+        positive = target > 0.0
+        tol = _ATTEN_REL_TOL * target + 3.0 * np.sqrt(
+            np.maximum(est * (1 - est), 0.0) / self.sim_budget)
+        short = np.flatnonzero(positive & (est < target - tol))
+        if short.size:
+            j = short[0]
+            raise AttenuationError(
+                f"chance {t} item {j}: estimated add rate {est[j]:.6g} "
+                f"below target {target[j]:.6g} beyond tolerance {tol[j]:.3g}"
             )
-            if est[j] < target - tol:
-                raise AttenuationError(
-                    f"chance {t} item {j}: estimated add rate {est[j]:.6g} "
-                    f"below target {target:.6g} beyond tolerance {tol:.3g}"
-                )
-            if est[j] <= 0.0:
-                raise AttenuationError(
-                    f"chance {t} item {j}: zero estimate with positive target"
-                )
-            if est[j] < target:
-                self.underflow.append((t, j))
-            row.append(attenuation_keep_prob(float(est[j]), float(target)))
-        return row
+        self.underflow.extend(
+            (t, j) for j in np.flatnonzero(positive & (est < target)).tolist())
+        # a zero estimate of a positive target has raised above, since
+        # the tolerance is below the target
+        return np.minimum(1.0, np.divide(target, est, out=np.zeros(target.size),
+                                         where=positive))
 
     def trial(self, rng):
         return self.engine._walk(self.plan, rng)

@@ -35,7 +35,6 @@ import numpy as np
 from .core import (ValidationReport, make_instance, read_json, require_clean,
                    require_fractional, write_json)
 from .errors import EstimateError, ParamError, ValidationError
-from .montecarlo import attenuation_keep_prob
 
 ALPHA_CAP = 1.0 / (3.0 * math.e)
 
@@ -262,7 +261,7 @@ class UfpCrScheme:
         beta = self.params.beta
         if eta < beta:
             self.clamped.append(i)
-        return attenuation_keep_prob(eta, beta)
+        return min(1.0, beta / eta)
 
     def _estimate_pool(self, rng):
         B = self.params.sim_budget

@@ -31,19 +31,30 @@ def run(capsys, *argv):
 
 
 def test_gen_produces_loadable_instances(tmp_path, capsys):
+    # gap draws nothing, so it is the one family without --seed
     cases = [
         (["gen", "gap", "--k", "3"], load_instance),
-        (["gen", "kcs", "--n", "6", "--m", "4", "--k", "2"], load_instance),
-        (["gen", "hyper", "--vertices", "6", "--edges", "5", "--k", "2"],
-         load_hypergraph),
-        (["gen", "sksp", "--n", "4", "--m", "3", "--k", "2"], load_sksp),
-        (["gen", "tree", "--vertices", "6", "--demands", "4"], load_tree),
+        (["gen", "kcs", "--n", "6", "--m", "4", "--k", "2", "--seed", "3"],
+         load_instance),
+        (["gen", "hyper", "--vertices", "6", "--edges", "5", "--k", "2",
+          "--seed", "3"], load_hypergraph),
+        (["gen", "sksp", "--n", "4", "--m", "3", "--k", "2", "--seed", "3"],
+         load_sksp),
+        (["gen", "tree", "--vertices", "6", "--demands", "4", "--seed", "3"],
+         load_tree),
     ]
     for argv, loader in cases:
         out = tmp_path / (argv[1] + ".json")
-        rc, _, _ = run(capsys, *argv, "--seed", "3", "-o", str(out))
+        rc, _, _ = run(capsys, *argv, "-o", str(out))
         assert rc == 0
         loader(out)
+
+
+def test_gen_gap_takes_no_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "gen", "gap", "--k", "2", "--seed", "3")
+    assert exc.value.code == 1
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_gen_matches_library_generator(tmp_path, capsys):
@@ -195,6 +206,24 @@ def test_bad_parameter_maps_to_exit_1(gap_path, capsys):
                      "--trials", "64", "--alpha", "-2.0")
     assert rc == 1
     assert "alpha" in err
+
+
+@pytest.mark.parametrize("alg, flags", [
+    ("hm", ["--alpha", "0.3", "--sim-budget", "7"]),
+    ("hm", ["--no-attenuate-last"]),
+    ("kcspip", ["--no-attenuate-last"]),
+    ("ufp", ["--chances", "2"]),
+])
+def test_round_refuses_flags_its_scheme_does_not_read(alg, flags, tmp_path,
+                                                      capsys):
+    family = ROUND_CASES[alg][0]
+    inst = tmp_path / "inst.json"
+    assert run(capsys, "gen", *family, "--seed", "3", "-o", str(inst))[0] == 0
+    rc, out, err = run(capsys, "round", alg, "--instance", str(inst),
+                       "--trials", "8", *flags)
+    assert rc == 1
+    assert out == ""
+    assert f"{alg} reads no parameter" in err
 
 
 def test_malformed_instance_file_is_an_input_error(tmp_path, capsys):

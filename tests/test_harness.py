@@ -23,9 +23,9 @@ from sparsepack.hypermatch import HmRounder, Hypergraph
 from sparsepack.kcspip import (KcsParams, exact_inclusion_probabilities,
                                instance_k)
 from sparsepack.lp import solve_packing_lp
-from sparsepack.montecarlo import binomial_stderr
-from sparsepack.sksp import validate_sksp
-from sparsepack.ufptree import UfpCrScheme, make_tree, validate_tree
+from sparsepack.montecarlo import binomial_stderr, trial_rng
+from sparsepack.sksp import MultiChanceSampler, compute_schedule, validate_sksp
+from sparsepack.ufptree import UfpCrScheme, UfpParams, make_tree, validate_tree
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +231,53 @@ def test_compare_opt_attaches_exact_value():
     assert empirical_ratio(spec).opt_value == 1.0
     plain = empirical_ratio(ExperimentSpec("kcspip", inst, 100, 0))
     assert plain.opt_value is None
+
+
+@pytest.mark.parametrize("alg, params", [
+    ("sksp", {"chances": 1}),      # the key is T
+    ("hm", {"alpha": 0.3, "sim_budget": 7}),
+    ("kcspip", {"attenuate_last": False}),
+    ("ufp", {"compare_opt": True}),
+])
+def test_spec_refuses_params_its_scheme_does_not_read(alg, params):
+    instances = {"sksp": lambda: gen_sksp_instance(4, 3, 2, 2, seed=1),
+                 "hm": lambda: gen_random_hypergraph(6, 5, 2, seed=1),
+                 "kcspip": lambda: gen_gap_instance(2),
+                 "ufp": lambda: gen_random_tree(6, 4, seed=1)}
+    with pytest.raises(ParamError, match=f"{alg} reads no parameter"):
+        ExperimentSpec(alg, instances[alg](), 10, 0, params=params)
+
+
+def test_sksp_underflow_within_tolerance_is_noted():
+    # A 50-run pool puts item 7's chance-0 estimate below its target but
+    # inside the tolerance: the item keeps every hit, and the report's
+    # note is the only place that says so.
+    inst = gen_sksp_instance(10, 6, 3, 3, seed=7)
+    params = {"T": 2, "sim_budget": 50}
+    report = empirical_ratio(ExperimentSpec("sksp", inst, 500, 7, params=params))
+    assert report.notes == (
+        "attenuation clamped at 1 (chance, item) pairs: [(0, 7)]",)
+    x = solve_packing_lp(SCHEMES["sksp"].packing(inst), strengthen=False).x
+    sampler = MultiChanceSampler(inst, x, compute_schedule(2, inst.k),
+                                 trial_rng(7, 0, module=103), sim_budget=50)
+    assert sampler.underflow == [(0, 7)]
+    assert 0 < sampler.probe_estimates[0, 7] < sampler.targets[0, 7]
+    assert sampler.keeps[0, 7] == 1.0
+
+
+def test_ufp_safety_estimates_below_beta_are_noted():
+    # Twelve demands at x = 1 over one unit edge: the later ones are safe
+    # less often than beta, so their keep probability clamps at 1.
+    net = make_tree([-1, 0], 0, [1, 1], [(0, 1, 1.0)] * 12)
+    params = {"alpha": 0.02, "sim_budget": 2_000}
+    report = empirical_ratio(ExperimentSpec("ufp", net, 500, 3, params=params),
+                             x=[1.0] * 12)
+    scheme = UfpCrScheme(net, [1.0] * 12, UfpParams(0.02, 2_000),
+                         trial_rng(3, 0, module=105))
+    clamped = [i for i in range(12) if scheme.eta[i] < scheme.params.beta]
+    assert scheme.clamped == clamped == [7, 8, 9, 10, 11]
+    assert (scheme.keep[clamped] == 1.0).all()
+    assert report.notes == (f"safety estimates below beta for demands {clamped}",)
 
 
 def test_sksp_experiment_reports_schedule_floor():

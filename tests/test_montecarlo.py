@@ -1,31 +1,9 @@
-"""Attenuation arithmetic, standard errors, and stream derivation."""
-
-import logging
+"""Standard errors and stream derivation."""
 
 import numpy as np
 import pytest
 
-from sparsepack.errors import DomainError
-from sparsepack.montecarlo import attenuation_keep_prob, binomial_stderr, trial_rng
-
-
-def test_attenuation_keep_prob_flattens():
-    assert attenuation_keep_prob(0.8, 0.2) == pytest.approx(0.25)
-    assert attenuation_keep_prob(0.2, 0.2) == 1.0
-    assert attenuation_keep_prob(0.5, 0.0) == 0.0
-
-
-def test_attenuation_keep_prob_clamps_and_warns(caplog):
-    with caplog.at_level(logging.WARNING, logger="sparsepack.montecarlo"):
-        assert attenuation_keep_prob(0.1, 0.2) == 1.0
-    assert any("underflow" in r.message for r in caplog.records)
-
-
-def test_attenuation_keep_prob_domain():
-    with pytest.raises(DomainError):
-        attenuation_keep_prob(0.5, -0.1)
-    with pytest.raises(DomainError):
-        attenuation_keep_prob(0.0, 0.2)
+from sparsepack.montecarlo import binomial_stderr, trial_rng
 
 
 def test_binomial_stderr():

@@ -1,10 +1,11 @@
 """The sksp and ufp set-up pools: the same estimates and stream for any
 slab size (the ufp pool slices no dense block at all, and sksp's
 `chance_tally` slices as its pools do), each sksp pool run as one walk
-of that pool's chances, memory gates on the benchmark's `pools`
-instances and on many scenarios, and --jobs invariance of the two
-schemes' reports (hypothesis)."""
+of that pool's chances, the keep-row bytes of the benchmark's `pools`
+set-ups, memory gates on those instances and on many scenarios, and
+--jobs invariance of the two schemes' reports (hypothesis)."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -105,13 +106,47 @@ def test_each_sksp_pool_run_is_one_walk_of_its_chances():
     engine, twin = sampler.engine, trial_rng(2, 0)
     assert len(montecarlo.run_slices(budget, 3 * 2 * inst.n + inst.n)) > 1
     for t in range(2):
-        plan = engine._plan(sampler.yp_full[:t + 1].tolist(),
-                            sampler.keeps[:t] + [None])
+        keeps = sampler.keeps[:t + 1].copy()
+        keeps[t] = 1.0  # the pool runs chance t free
+        plan = engine._plan(sampler.yp_full[:t + 1].tolist(), keeps.tolist())
         counts = np.zeros(inst.n, dtype=np.int64)
         for _ in range(budget):
             counts += np.equal(engine._walk(plan, twin).added_chance, t)
         assert (counts / budget).tobytes() == sampler.probe_estimates[t].tobytes()
     assert twin.bit_generator.state == rng.bit_generator.state
+
+
+# sha256 of the float64 keep rows of the benchmark's `pools` set-ups, as
+# `round` builds them at seed 2 (sksp, a free row as ones) and seed 1
+# (ufp, tree seed 1).  A last-ulp change in a keep probability rarely
+# moves a report byte, so these pins see what the report pins cannot.
+POOLS_SKSP_KEEPS_SHA256 = {
+    True: "7b213b8a01423fb1e5a2d3f9fb197f811e47563eb2b81bc2eb7aed879df6a6d8",
+    False: "deae8cdf3f912753f2022b8b393fc6c9906a89a16a480547f7e53da02d26dcf7",
+}
+POOLS_UFP_KEEP_SHA256 = (
+    "b7aa16394325bb78c380fac9986c47cf90dbecd4af810c7255784bcd45e1d793")
+
+
+@pytest.mark.parametrize("attenuate_last", [True, False])
+def test_pools_sksp_keep_rows_are_pinned(attenuate_last):
+    inst = gen_sksp_instance(10, 6, 3, 3, seed=2)
+    sampler = MultiChanceSampler(inst, sksp_x(inst), compute_schedule(2, inst.k),
+                                 trial_rng(2, 0, module=103), sim_budget=100_000,
+                                 attenuate_last=attenuate_last)
+    assert sampler.keeps.dtype == np.float64 and sampler.keeps.shape == (2, 10)
+    assert (sampler.keeps[-1] == 1.0).all() != attenuate_last
+    digest = hashlib.sha256(sampler.keeps.tobytes()).hexdigest()
+    assert digest == POOLS_SKSP_KEEPS_SHA256[attenuate_last]
+
+
+def test_pools_ufp_keep_is_pinned():
+    net = gen_random_tree(60, 40, seed=1)
+    scheme = UfpCrScheme(net, tree_x(net), UfpParams(0.1, 100_000),
+                         trial_rng(1, 0, module=105))
+    assert scheme.keep.dtype == np.float64
+    digest = hashlib.sha256(scheme.keep.tobytes()).hexdigest()
+    assert digest == POOLS_UFP_KEEP_SHA256
 
 
 def traced_peak_mib(build):

@@ -317,8 +317,9 @@ def test_unattenuated_last_chance_beats_its_target():
                                  sim_budget=50_000, attenuate_last=True)
     free = MultiChanceSampler(inst, [1.0], sched, trial_rng(6, 0),
                               sim_budget=50_000, attenuate_last=False)
-    assert free.keeps[-1] is None
-    assert sampler.keeps[-1] is not None
+    assert (free.keeps[-1] == 1.0).all()
+    assert free.keeps[0].tobytes() == sampler.keeps[0].tobytes()
+    assert (sampler.keeps[-1] < 1.0).any()
     trials = 40_000
     capped, _, _ = sampler.chance_tally(trials, trial_rng(6, 1))
     raw, _, _ = free.chance_tally(trials, trial_rng(6, 1))

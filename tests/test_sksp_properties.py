@@ -4,7 +4,7 @@ trial on twin streams, over random small instances (hypothesis), and
 
 Scenario tables include zero-probability scenarios (tied cumulative
 probabilities) and items with an empty support; keep rows are random,
-absent (an unattenuated chance) or all zero.  Fixed cases pin what the
+all ones (an unattenuated chance) or all zero.  Fixed cases pin what the
 walk's plan leaves out: a trailing run of zero keep rows, items with a
 zero hit probability, and nothing of a zero keep row in the middle.
 Others drive the pass's rank rounds to their full depth, within a
@@ -49,7 +49,7 @@ def instances(draw):
 
 
 def keep_rows(n):
-    return (st.none() | st.just([0.0] * n)
+    return (st.just([1.0] * n) | st.just([0.0] * n)
             | st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
 
 
@@ -126,7 +126,7 @@ def test_a_zero_keep_row_in_the_middle_marks_its_hits():
         two_scenario_item([j], 1.0) for j in range(4)))
     engine = _Engine(inst, [1.0] * 4)
     yp = engine.y_probs([0.5, 0.5, 0.5])
-    keeps = [[0.5] * 4, [0.0] * 4, None]
+    keeps = [[0.5] * 4, [0.0] * 4, [1.0] * 4]
     walks, plan = assert_walks_equal_the_pass(engine, yp, keeps, 22, 400)
     assert chances_walked(plan) == [[0, 1, 2, 3]] * 3
     assert {t for w in walks for t in w.added_chance} == {-1, 0, 2}
@@ -137,7 +137,7 @@ def test_an_unattenuated_last_chance_keeps_every_hit_item():
     sampler = MultiChanceSampler(inst, np.full(inst.n, 0.6),
                                  compute_schedule(2, inst.k), trial_rng(2, 0),
                                  sim_budget=5_000, attenuate_last=False)
-    assert sampler.keeps[-1] is None
+    assert (sampler.keeps[-1] == 1.0).all()
     assert all(entry[4] == 1.0 for entry in sampler.plan[1][-1])
     walks, _ = assert_walks_equal_the_pass(sampler.engine, sampler.yp_full,
                                            sampler.keeps, 23, 300)
@@ -148,7 +148,7 @@ def test_an_item_never_hit_is_not_walked():
     engine = _Engine(contended_instance(), [1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
     # chance 1 hits nothing, so chance 0 is the last that may add
     yp = engine.y_probs([0.9, 0.0])
-    keeps = [None, [1.0] * 6]
+    keeps = [[1.0] * 6, [1.0] * 6]
     walks, plan = assert_walks_equal_the_pass(engine, yp, keeps, 24, 400)
     assert chances_walked(plan) == [[0, 2, 3, 5]]
     assert all(w.added_chance[1] == w.added_chance[4] == -1 for w in walks)
@@ -223,8 +223,8 @@ def test_a_uniform_on_a_cumulative_probability_picks_the_lower_scenario(
     yp = engine.y_probs([1.0])
     # one run's block: hit, order key, keep coin, scenario uniform
     rng = CraftedUniforms([0.0, 0.5, 0.0, u])
-    walked = engine._walk(engine._plan(yp.tolist(), [None]), rng)
-    _, _, weights, _ = engine._pass(engine._draw(yp, [None], 3, rng))
+    walked = engine._walk(engine._plan(yp.tolist(), [[1.0]]), rng)
+    _, _, weights, _ = engine._pass(engine._draw(yp, np.ones((1, 1)), 3, rng))
     assert walked.realized_weight == weight
     assert weights.tolist() == [weight] * 3
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sparsepack.errors import EstimateError
-from sparsepack.montecarlo import attenuation_keep_prob, trial_rng
+from sparsepack.montecarlo import trial_rng
 from sparsepack.ufptree import ALPHA_CAP, UfpCrScheme, UfpParams, make_tree
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -82,7 +82,7 @@ def reference_pool(scheme, rng):
         path = list(net.demand_paths[i][1])
         safe = (usage[:, path] < caps[path]).all(axis=1)
         eta[i] = float(safe.mean())
-        keep[i] = np.nan if eta[i] <= 0 else attenuation_keep_prob(eta[i], beta)
+        keep[i] = np.nan if eta[i] <= 0 else min(1.0, beta / eta[i])
         routed = sampled & safe & (coins < keep[i])
         usage[np.ix_(routed, path)] += 1
     return eta, keep
