@@ -35,12 +35,13 @@ from typing import Callable
 import numpy as np
 
 from .core import (FEAS_TOL, check_feasible, load_instance, make_instance,
-                   objective_value, require_fractional, require_valid)
+                   objective_value, require_clean, require_fractional,
+                   require_valid)
 from .errors import (InternalInvariantError, ParamError, SizeError,
                      ValidationError)
 from .hypermatch import (HmRounder, attenuation_g, hypergraph_lp_instance,
                          load_hypergraph, make_hypergraph, matching_weight,
-                         require_valid_hypergraph, theoretical_bound)
+                         theoretical_bound, validate_hypergraph)
 from .kcspip import (EXACT_MARGINAL_CAP, BknsRounder, KcsParams, KcsRounder,
                      instance_k)
 from .lp import solve_packing_lp
@@ -120,7 +121,7 @@ def gen_random_hypergraph(n_vertices, n_edges, k, seed):
         size = int(rng.integers(1, min(k, n_vertices) + 1))
         vs = sorted(int(v) for v in rng.choice(n_vertices, size=size, replace=False))
         edges.append((tuple(vs), 1.0 - rng.random()))
-    return require_valid_hypergraph(make_hypergraph(n_vertices, edges))
+    return require_clean(validate_hypergraph, make_hypergraph(n_vertices, edges))
 
 
 def gen_sksp_instance(n, m, k, scenarios, seed, cap_hi=2):

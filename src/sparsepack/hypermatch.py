@@ -101,15 +101,11 @@ def validate_hypergraph(h):
     return h.validation
 
 
-def require_valid_hypergraph(h):
-    return require_clean(validate_hypergraph, h)
-
-
 def hypergraph_lp_instance(h):
     """Fractional matching polytope of a hypergraph as a packing
     instance, once the hypergraph is validated: one unit-capacity row
     per vertex, coefficient 1 per incidence."""
-    require_valid_hypergraph(h)
+    require_clean(validate_hypergraph, h)
     columns = [[(v, 1.0) for v in vs] for vs, _ in h.edges]
     return make_instance([1.0] * h.m, h.weights, columns)
 
@@ -197,7 +193,7 @@ class HmRounder:
     """
 
     def __init__(self, h, x, g):
-        require_valid_hypergraph(h)
+        require_clean(validate_hypergraph, h)
         rates = [g(v) for v in require_fractional(x, h.n).tolist()]
         if not all(0.0 <= r <= 1.0 for r in rates):
             raise DomainError("mark rates outside [0,1]")
@@ -299,7 +295,7 @@ def hypergraph_from_dict(d):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed hypergraph JSON: {exc}") from exc
-    return require_valid_hypergraph(h)
+    return require_clean(validate_hypergraph, h)
 
 
 def save_hypergraph(h, path):

@@ -46,6 +46,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -107,47 +108,50 @@ class SkspInstance:
     def n(self):
         return len(self.items)
 
+    @cached_property
+    def validation(self):
+        """The structural check of `validate_sksp`, made once per
+        instance: it is frozen, and the loader, the expected-size LP and
+        the sampler each ask."""
+        v = []
+        if self.k < 1:
+            v.append(f"k={self.k} below 1")
+        if self.m != len(self.capacities):
+            v.append(f"m={self.m} but {len(self.capacities)} capacities")
+        for i, b in enumerate(self.capacities):
+            if not (isinstance(b, int) and b >= 1):
+                v.append(f"capacity[{i}]={b} not an integer >= 1")
+        for j, item in enumerate(self.items):
+            if len(set(item.support)) != len(item.support):
+                v.append(f"item {j} repeats a support row")
+            if len(item.support) > self.k:
+                v.append(f"item {j} supports {len(item.support)} rows, k={self.k}")
+            for i in item.support:
+                if not (0 <= i < self.m):
+                    v.append(f"item {j} support row {i} out of range")
+            if not item.scenarios:
+                v.append(f"item {j} has no scenarios")
+                continue
+            total = 0.0
+            for s, (p, w, bits) in enumerate(item.scenarios):
+                total += p
+                if not (p >= 0):
+                    v.append(f"item {j} scenario {s} probability {p} negative")
+                if not (w >= 0):
+                    v.append(f"item {j} scenario {s} weight {w} negative")
+                elif not math.isfinite(w):
+                    v.append(f"item {j} scenario {s} weight {w} not finite")
+                if len(bits) != len(item.support):
+                    v.append(f"item {j} scenario {s} bit vector length mismatch")
+                if any(b not in (0, 1) for b in bits):
+                    v.append(f"item {j} scenario {s} bits not 0/1")
+            if not abs(total - 1.0) <= 1e-9:
+                v.append(f"item {j} scenario probabilities sum to {total}")
+        return ValidationReport(tuple(v))
+
 
 def validate_sksp(inst):
-    v = []
-    if inst.k < 1:
-        v.append(f"k={inst.k} below 1")
-    if inst.m != len(inst.capacities):
-        v.append(f"m={inst.m} but {len(inst.capacities)} capacities")
-    for i, b in enumerate(inst.capacities):
-        if not (isinstance(b, int) and b >= 1):
-            v.append(f"capacity[{i}]={b} not an integer >= 1")
-    for j, item in enumerate(inst.items):
-        if len(set(item.support)) != len(item.support):
-            v.append(f"item {j} repeats a support row")
-        if len(item.support) > inst.k:
-            v.append(f"item {j} supports {len(item.support)} rows, k={inst.k}")
-        for i in item.support:
-            if not (0 <= i < inst.m):
-                v.append(f"item {j} support row {i} out of range")
-        if not item.scenarios:
-            v.append(f"item {j} has no scenarios")
-            continue
-        total = 0.0
-        for s, (p, w, bits) in enumerate(item.scenarios):
-            total += p
-            if not (p >= 0):
-                v.append(f"item {j} scenario {s} probability {p} negative")
-            if not (w >= 0):
-                v.append(f"item {j} scenario {s} weight {w} negative")
-            elif not math.isfinite(w):
-                v.append(f"item {j} scenario {s} weight {w} not finite")
-            if len(bits) != len(item.support):
-                v.append(f"item {j} scenario {s} bit vector length mismatch")
-            if any(b not in (0, 1) for b in bits):
-                v.append(f"item {j} scenario {s} bits not 0/1")
-        if not abs(total - 1.0) <= 1e-9:
-            v.append(f"item {j} scenario probabilities sum to {total}")
-    return ValidationReport(tuple(v))
-
-
-def require_valid_sksp(inst):
-    return require_clean(validate_sksp, inst)
+    return inst.validation
 
 
 def expected_size_instance(inst):
@@ -158,7 +162,7 @@ def expected_size_instance(inst):
     summation dust validate_sksp tolerates; clamp it for the strict
     packing-side check.
     """
-    require_valid_sksp(inst)
+    require_clean(validate_sksp, inst)
     cols = []
     for item in inst.items:
         cols.append([
@@ -198,12 +202,7 @@ class ChanceSchedule:
 
 def ideal_gamma(T):
     """Prefix totals gamma_1..gamma_T of the uncorrected schedule."""
-    gammas = []
-    g = 0.0
-    for _ in range(T):
-        g = g + (1.0 - g) ** 2 / 2.0
-        gammas.append(g)
-    return gammas
+    return list(accumulate(compute_schedule(T, math.inf).betas))
 
 
 def compute_schedule(T, k):
@@ -271,7 +270,7 @@ class _Engine:
     """
 
     def __init__(self, inst, x):
-        require_valid_sksp(inst)
+        require_clean(validate_sksp, inst)
         self.inst = inst
         self.x = require_fractional(x, inst.n)
         n, m, k = inst.n, inst.m, inst.k
@@ -593,7 +592,7 @@ def sksp_from_dict(d):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed stochastic instance JSON: {exc}") from exc
-    return require_valid_sksp(inst)
+    return require_clean(validate_sksp, inst)
 
 
 def save_sksp(inst, path):

@@ -59,21 +59,62 @@ class TreeNetwork:
 
     @cached_property
     def depth(self):
-        depths = [-1] * self.n_vertices
-        depths[self.root] = 0
-        for v in range(self.n_vertices):
-            if depths[v] >= 0:
-                continue
+        """Edges from each vertex up to the root, or -1 for a vertex whose
+        parent chain leaves the vertex range or never reaches the root.
+        Each vertex is walked once."""
+        n, parent = self.n_vertices, self.parent
+        depths = [None] * n
+        if 0 <= self.root < n:
+            depths[self.root] = 0
+        for v in range(n):
             chain = []
             u = v
-            while depths[u] < 0:
+            while 0 <= u < n and depths[u] is None:
+                depths[u] = -1   # until the chain reaches the root
                 chain.append(u)
-                u = self.parent[u]
-            base = depths[u]
-            for w in reversed(chain):
-                base += 1
-                depths[w] = base
+                u = parent[u]
+            base = depths[u] if 0 <= u < n else -1
+            if base >= 0:
+                for w in reversed(chain):
+                    base += 1
+                    depths[w] = base
         return tuple(depths)
+
+    @cached_property
+    def validation(self):
+        """The structural check of `validate_tree`, made once per tree:
+        it is frozen, and the loader, the path LP and the router each
+        ask.  Acyclicity is read off `depth`."""
+        v = []
+        n = self.n_vertices
+        if not (0 <= self.root < n):
+            return ValidationReport((f"root {self.root} out of range",))
+        if self.parent[self.root] != -1:
+            v.append("root parent must be -1")
+        caps = self.edge_capacity
+        if len(caps) != n:
+            v.append("edge_capacity length disagrees with vertex count")
+        for u in range(n):
+            if u == self.root:
+                continue
+            p = self.parent[u]
+            if not (0 <= p < n):
+                v.append(f"vertex {u} parent {p} out of range")
+            if u < len(caps) and not (isinstance(caps[u], int) and caps[u] >= 1):
+                v.append(f"edge capacity above vertex {u} is {caps[u]}, "
+                         f"need integer >= 1")
+        if -1 in self.depth:
+            v.append(f"vertex {self.depth.index(-1)} does not reach the root")
+        for idx, (s, t, w) in enumerate(self.demands):
+            if not (0 <= s < n and 0 <= t < n):
+                v.append(f"demand {idx} endpoints out of range")
+            elif s == t:
+                v.append(f"demand {idx} has equal endpoints")
+            if not (w >= 0):
+                v.append(f"demand {idx} weight {w} negative")
+            elif not math.isfinite(w):
+                v.append(f"demand {idx} weight {w} not finite")
+        return ValidationReport(tuple(v))
 
     @cached_property
     def demand_paths(self):
@@ -95,49 +136,7 @@ def make_tree(parent, root, edge_capacity, demands):
 
 
 def validate_tree(net):
-    v = []
-    n = net.n_vertices
-    if not (0 <= net.root < n):
-        v.append(f"root {net.root} out of range")
-        return ValidationReport(tuple(v))
-    if net.parent[net.root] != -1:
-        v.append("root parent must be -1")
-    if len(net.edge_capacity) != n:
-        v.append("edge_capacity length disagrees with vertex count")
-    for u in range(n):
-        if u == net.root:
-            continue
-        p = net.parent[u]
-        if not (0 <= p < n):
-            v.append(f"vertex {u} parent {p} out of range")
-        cap = net.edge_capacity[u]
-        if not (isinstance(cap, int) and cap >= 1):
-            v.append(f"edge capacity above vertex {u} is {cap}, need integer >= 1")
-    # acyclicity: every vertex must reach the root within n steps
-    for u in range(n):
-        w, steps = u, 0
-        while w != net.root and steps <= n:
-            w = net.parent[w]
-            steps += 1
-            if not (0 <= w < n):
-                break
-        if w != net.root:
-            v.append(f"vertex {u} does not reach the root")
-            break
-    for idx, (s, t, w) in enumerate(net.demands):
-        if not (0 <= s < n and 0 <= t < n):
-            v.append(f"demand {idx} endpoints out of range")
-        elif s == t:
-            v.append(f"demand {idx} has equal endpoints")
-        if not (w >= 0):
-            v.append(f"demand {idx} weight {w} negative")
-        elif not math.isfinite(w):
-            v.append(f"demand {idx} weight {w} not finite")
-    return ValidationReport(tuple(v))
-
-
-def require_valid_tree(net):
-    return require_clean(validate_tree, net)
+    return net.validation
 
 
 def tree_path(net, s, t):
@@ -181,18 +180,19 @@ class UfpParams:
 
     @property
     def beta(self):
-        ae = self.alpha * math.e
-        return 1.0 - 2.0 * ae / (1.0 - ae)
+        return _beta(self.alpha)
+
+
+def _beta(alpha):
+    """1 - 2 alpha e / (1 - alpha e), for a float or an array of them."""
+    ae = alpha * math.e
+    return 1.0 - 2.0 * ae / (1.0 - ae)
 
 
 def balance_objective(alpha):
-    """alpha (1 - 2 gamma e / (1 - gamma e)) with gamma = alpha beta(alpha)."""
-    if alpha == 0.0:
-        return 0.0
-    ae = alpha * math.e
-    beta = 1.0 - 2.0 * ae / (1.0 - ae)
-    ge = alpha * beta * math.e
-    return alpha * (1.0 - 2.0 * ge / (1.0 - ge))
+    """alpha (1 - 2 gamma e / (1 - gamma e)) with gamma = alpha beta(alpha),
+    for a float or an array of them."""
+    return alpha * _beta(alpha * _beta(alpha))
 
 
 def optimize_alpha(grid_resolution=1e-6):
@@ -200,15 +200,14 @@ def optimize_alpha(grid_resolution=1e-6):
 
     Returns (alpha_star, balance).  The objective rises monotonically
     toward the right endpoint, so the optimum is the last grid point and
-    the balance lands within about 1e-4 of 0.1227.
+    the balance lands within about 1e-4 of 0.1227.  A grid finer than
+    1e-7 is refused before anything is allocated: it would only move
+    alpha toward 1/(3e), at 8 bytes per point per array.
     """
-    if not (0.0 < grid_resolution <= 1e-5):
-        raise ParamError(f"grid_resolution={grid_resolution} must be in (0, 1e-5]")
+    if not (1e-7 <= grid_resolution <= 1e-5):
+        raise ParamError(f"grid_resolution={grid_resolution} must be in [1e-7, 1e-5]")
     alphas = np.arange(grid_resolution, ALPHA_CAP, grid_resolution)
-    ae = alphas * math.e
-    beta = 1.0 - 2.0 * ae / (1.0 - ae)
-    ge = alphas * beta * math.e
-    vals = alphas * (1.0 - 2.0 * ge / (1.0 - ge))
+    vals = balance_objective(alphas)
     i = int(np.argmax(vals))
     return float(alphas[i]), float(vals[i])
 
@@ -230,7 +229,7 @@ class UfpCrScheme:
     """
 
     def __init__(self, net, x, params, rng, eta=None):
-        require_valid_tree(net)
+        require_clean(validate_tree, net)
         self.net = net
         self.x = require_fractional(x, net.n_demands)
         self.params = params
@@ -329,7 +328,7 @@ def tree_lp_instance(net):
     A routed set is feasible iff `check_feasible` accepts it here, and
     `objective_value` gives its weight.
     """
-    require_valid_tree(net)
+    require_clean(validate_tree, net)
     columns = [
         [(v, 1.0) for v in net.demand_paths[i][1]] for i in range(len(net.demands))
     ]
@@ -361,7 +360,7 @@ def tree_from_dict(d):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed tree JSON: {exc}") from exc
-    return require_valid_tree(net)
+    return require_clean(validate_tree, net)
 
 
 def save_tree(net, path):

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, determinism, seed resolution."""
 
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -10,11 +11,11 @@ import pytest
 
 import sparsepack
 import sparsepack.cli as cli
-from sparsepack.core import load_instance, save_instance
+from sparsepack.core import PackingInstance, load_instance, save_instance
 from sparsepack.harness import CHUNK_TRIALS, gen_gap_instance
-from sparsepack.hypermatch import load_hypergraph
-from sparsepack.sksp import load_sksp
-from sparsepack.ufptree import load_tree
+from sparsepack.hypermatch import Hypergraph, load_hypergraph
+from sparsepack.sksp import SkspInstance, load_sksp
+from sparsepack.ufptree import TreeNetwork, load_tree
 
 
 @pytest.fixture
@@ -240,6 +241,52 @@ def test_wrong_family_file_is_an_input_error(gap_path, capsys):
                      "--trials", "8")
     assert rc == 1
     assert err.startswith("error:")
+
+
+def test_short_edge_capacity_is_an_input_error(tmp_path, capsys):
+    # the tree check went on to read a capacity for every vertex after
+    # noting the short list, and died with an IndexError
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"parent": [-1, 0, 0], "root": 0,
+                                "edgeCapacity": [1],
+                                "demands": [{"s": 1, "t": 2, "w": 1.0}]}))
+    rc, out, err = run(capsys, "round", "ufp", "--instance", str(path),
+                       "--trials", "8")
+    assert rc == 1
+    assert err == "error: edge_capacity length disagrees with vertex count\n"
+    assert out == ""
+
+
+def count_validations(monkeypatch, cls):
+    """The instances of cls whose cached `validation` gets computed."""
+    computed = []
+    original = cls.__dict__["validation"].func
+
+    def validation(self):
+        computed.append(self)
+        return original(self)
+
+    counted = functools.cached_property(validation)
+    counted.__set_name__(cls, "validation")
+    monkeypatch.setattr(cls, "validation", counted)
+    return computed
+
+
+INSTANCE_TYPES = {"kcspip": PackingInstance, "bkns": PackingInstance,
+                  "sksp": SkspInstance, "hm": Hypergraph, "ufp": TreeNetwork}
+
+
+@pytest.mark.parametrize("alg", sorted(ROUND_CASES))
+def test_round_validates_its_instance_once(alg, tmp_path, capsys, monkeypatch):
+    # the loader, the packing view and the runner each ask for the report
+    family, _, extra = ROUND_CASES[alg]
+    inst = tmp_path / "inst.json"
+    assert run(capsys, "gen", *family, "--seed", "3", "-o", str(inst))[0] == 0
+    computed = count_validations(monkeypatch, INSTANCE_TYPES[alg])
+    rc, _, _ = run(capsys, "round", alg, "--instance", str(inst),
+                   "--seed", "5", "--trials", "8", *extra)
+    assert rc == 0
+    assert len(computed) == 1
 
 
 def test_usage_error_prints_help(capsys):

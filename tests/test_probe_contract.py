@@ -12,11 +12,21 @@ the same types as before.  The LP names are wrapped too: each solve
 must go through `cli.solve_packing_lp` (solve-lp) or
 `harness.solve_packing_lp` (round without --x), and build its relaxation
 with `lp.build_relaxation`, once.
+
+The probe itself is loaded too, read-only, to check that every name it
+replaces still exists and is put back: a name that looks dead in the
+package may be one the benchmark wraps.
 """
+
+import importlib.util
+import inspect
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from sparsepack import cli, graphcolor, harness, kcspip, lp, sksp, ufptree
+from sparsepack import (cli, core, graphcolor, harness, kcspip, lp, sksp,
+                        ufptree)
 from sparsepack.core import FractionalSolution, make_instance
 from sparsepack.graphcolor import Coloring, DiGraph
 from sparsepack.hypermatch import is_matching, make_hypergraph
@@ -166,3 +176,59 @@ def test_round_without_x_solves_once_through_the_harness_name(
     assert calls == {key: trials if key in per_trial else 0
                      for key in TRACED} | {
         "trial_rng": 1, "harness.solve_packing_lp": 1, "lp.build_relaxation": 1}
+
+
+PROBE = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
+MODULES = SimpleNamespace(cli=cli, core=core, graphcolor=graphcolor,
+                          harness=harness, kcspip=kcspip, lp=lp, sksp=sksp,
+                          ufptree=ufptree)
+
+
+def load_probe():
+    spec = importlib.util.spec_from_file_location("perfbench_probe", PROBE)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    return probe
+
+
+def namespaces():
+    """Every module the probe is handed and every class defined there."""
+    out = list(vars(MODULES).values())
+    for module in vars(MODULES).values():
+        out.extend(c for c in vars(module).values() if inspect.isclass(c)
+                   and c.__module__ == module.__name__)
+    return out
+
+
+def snapshot():
+    return [(owner, dict(vars(owner))) for owner in namespaces()]
+
+
+def changed(before):
+    """(owner name, attribute) of each binding that differs from before."""
+    return {(owner.__name__, name) for owner, names in before
+            for name, value in vars(owner).items()
+            if names.get(name) is not value}
+
+
+def test_every_name_the_benchmark_wraps_exists_and_is_put_back():
+    probe = load_probe()
+    before = snapshot()
+    # the benchmark keeps Phases on and opens a Tracer over it; either
+    # raises AttributeError for a name the package no longer has
+    phases = probe.Phases(MODULES)
+    by_phases = changed(before)
+    tracer = probe.Tracer(MODULES)
+    patched = changed(before)
+    tracer.close()
+    assert changed(before) == by_phases
+    phases.close()
+    assert changed(before) == set()
+    assert {("sparsepack.harness", "trial_rng"),
+            ("sparsepack.harness", "UfpCrScheme"),
+            ("sparsepack.cli", "solve_packing_lp")} <= by_phases
+    assert {("sparsepack.sksp", "solve_packing_lp"),
+            ("sparsepack.core", "validate_instance"),
+            ("sparsepack.cli", "_load_input"),
+            ("KcsRounder", "trial"),
+            ("MultiChanceSampler", "trial")} <= patched

@@ -50,6 +50,12 @@ def test_ideal_gamma_prefix_values():
     assert gammas[0] == 0.5
     assert gammas[1] == 0.625
     assert gammas[2] == 89.0 / 128.0
+    # gamma <- gamma + (1 - gamma)^2 / 2, to the last bit
+    g, expect = 0.0, []
+    for _ in range(60):
+        g = g + (1.0 - g) ** 2 / 2.0
+        expect.append(g)
+    assert ideal_gamma(60) == expect
 
 
 def test_gamma_is_monotone_and_below_one():
@@ -76,6 +82,8 @@ def test_schedule_totals_match_ideal_for_infinite_k():
 def test_schedule_validation():
     with pytest.raises(ParamError):
         compute_schedule(0, 8)
+    with pytest.raises(ParamError):
+        ideal_gamma(0)
     with pytest.raises(ParamError):
         compute_schedule(2, 0.5)
     with pytest.raises(ParamError, match="outside"):

@@ -147,6 +147,11 @@ def test_optimize_alpha_lands_near_the_cap():
         optimize_alpha(grid_resolution=1e-4)
     with pytest.raises(ParamError):
         optimize_alpha(grid_resolution=0.0)
+    # 1e-9 would mean 122.6 M grid points, 0.98 GB per float64 array
+    with pytest.raises(ParamError, match=r"\[1e-7, 1e-5\]"):
+        optimize_alpha(grid_resolution=1e-9)
+    # the default grid, to the last bit of the scalar formula's values
+    assert optimize_alpha() == (0.122626, 0.12262551961328311)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The ufp trial and safety pool against plain per-demand references, on
-random trees, x and safety tables (hypothesis).
+random trees, x and safety tables, and the tree's one parent walk
+against step-by-step walks, on random parent arrays (hypothesis).
 
 Safety tables include zeros, whose NaN keep must raise EstimateError
 only in a trial that reaches the demand; the pool is also checked at
@@ -14,7 +15,8 @@ import pytest
 
 from sparsepack.errors import EstimateError
 from sparsepack.montecarlo import trial_rng
-from sparsepack.ufptree import ALPHA_CAP, UfpCrScheme, UfpParams, make_tree
+from sparsepack.ufptree import (ALPHA_CAP, UfpCrScheme, UfpParams, make_tree,
+                                validate_tree)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -165,3 +167,83 @@ def test_a_zero_pool_estimate_raises_only_in_a_trial_that_reaches_it():
     assert outcomes == [outcome(reference_trial, scheme, twin)
                         for _ in range(400)]
     assert EstimateError in outcomes and frozenset() in outcomes
+
+
+# ---------------------------------------------------------------------------
+# The parent walk: `TreeNetwork.depth` serves paths and acyclicity alike
+
+def reference_walk(parent, root):
+    """Per vertex, its steps up to the root, or -1 if the walk leaves the
+    vertex range or has not met the root after n steps."""
+    n = len(parent)
+    out = []
+    for u in range(n):
+        w, steps = u, 0
+        while w != root and steps <= n:
+            w = parent[w]
+            steps += 1
+            if not (0 <= w < n):
+                break
+        out.append(steps if w == root else -1)
+    return out
+
+
+def reference_depth(parent, root):
+    """Depths of a valid tree by chain compression, one walk per chain."""
+    depths = [-1] * len(parent)
+    depths[root] = 0
+    for v in range(len(parent)):
+        chain = []
+        u = v
+        while depths[u] < 0:
+            chain.append(u)
+            u = parent[u]
+        base = depths[u]
+        for w in reversed(chain):
+            base += 1
+            depths[w] = base
+    return depths
+
+
+@st.composite
+def parent_arrays(draw):
+    """(parent, root): parents anywhere in [-2, n + 1], so self-loops,
+    cycles and parents out of range all turn up."""
+    nv = draw(st.integers(1, 9))
+    parent = draw(st.lists(st.integers(-2, nv + 1), min_size=nv, max_size=nv))
+    return parent, draw(st.integers(0, nv - 1))
+
+
+@st.composite
+def rooted_trees(draw):
+    """(parent, root) of a valid tree whose labels are shuffled, so the
+    root and the parents fall anywhere."""
+    nv = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(nv)))
+    parent = [-1] * nv
+    for i in range(1, nv):
+        parent[order[i]] = order[draw(st.integers(0, i - 1))]
+    return parent, order[0]
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(parent_arrays())
+def test_the_unreached_vertex_is_the_first_walk_that_misses_the_root(arr):
+    parent, root = arr
+    net = make_tree(parent, root, [1] * len(parent), [])
+    walk = reference_walk(parent, root)
+    assert list(net.depth) == walk
+    unreached = [v for v in validate_tree(net).violations
+                 if "does not reach the root" in v]
+    expect = [f"vertex {walk.index(-1)} does not reach the root"] \
+        if -1 in walk else []
+    assert unreached == expect
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(rooted_trees())
+def test_depths_of_a_valid_tree_are_unchanged(arr):
+    parent, root = arr
+    net = make_tree(parent, root, [1] * len(parent), [])
+    assert validate_tree(net).ok
+    assert list(net.depth) == reference_depth(parent, root)
