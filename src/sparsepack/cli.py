@@ -14,6 +14,7 @@ reports regardless of --jobs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -72,18 +73,20 @@ def _load_input(loader, path):
         ) from None
 
 
-def _load_x(path, n):
+def _load_x(path):
+    """A JSON array of numbers; its length is checked where x is used
+    (`require_fractional`), against the item count of the instance."""
     with open(path) as fh:
         try:
             x = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParamError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(x, list) or len(x) != n:
-        raise ParamError(f"{path} must hold a JSON array of {n} numbers")
+    if not isinstance(x, list):
+        raise ParamError(f"{path} must hold a JSON array of numbers")
     try:
         return [float(v) for v in x]
     except (TypeError, ValueError):
-        raise ParamError(f"{path} must hold a JSON array of {n} numbers") from None
+        raise ParamError(f"{path} must hold a JSON array of numbers") from None
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +122,7 @@ def _cmd_solve_lp(args):
 
 
 def _cmd_round(args):
-    scheme = SCHEMES[args.algorithm]
-    instance = _load_input(scheme.load, args.instance)
+    instance = _load_input(SCHEMES[args.algorithm].load, args.instance)
     flags = {
         "alpha": args.alpha, "ell": args.ell, "d": args.d,
         "epsilon": args.epsilon, "T": args.chances,
@@ -136,9 +138,7 @@ def _cmd_round(args):
         params={key: v for key, v in flags.items() if v is not None},
         sink=args.json,
     )
-    x = None
-    if args.x is not None:
-        x = _load_x(args.x, scheme.packing(instance).n)
+    x = None if args.x is None else _load_x(args.x)
     report = empirical_ratio(spec, x=x)
     sys.stdout.write(format_report(report))
     if args.csv is not None:
@@ -158,7 +158,7 @@ def _cmd_oracle(args):
         return
     params = KcsParams.defaults(instance_k(inst), epsilon=args.epsilon)
     if args.x is not None:
-        x = _load_x(args.x, inst.n)
+        x = _load_x(args.x)
     else:
         x = list(solve_packing_lp(inst, strengthen=True).x)
     out = {
@@ -204,7 +204,10 @@ def _add_output(p):
                    help="write JSON here instead of stdout")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.  Each subcommand
+    names its handler, which `main` looks up when it runs."""
     parser = _Parser(prog="sparsepack",
                      description="column-sparse packing roundings at desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -216,7 +219,7 @@ def build_parser():
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--eps", type=float, default=None)
     _add_output(g)
-    g.set_defaults(func=_cmd_gen)
+    g.set_defaults(func="_cmd_gen")
 
     g = fam.add_parser("kcs", help="random column-sparse instance")
     g.add_argument("--n", type=int, required=True)
@@ -224,7 +227,7 @@ def build_parser():
     g.add_argument("--k", type=int, required=True)
     _add_seed(g)
     _add_output(g)
-    g.set_defaults(func=_cmd_gen)
+    g.set_defaults(func="_cmd_gen")
 
     g = fam.add_parser("hyper", help="random weighted hypergraph")
     g.add_argument("--vertices", type=int, required=True)
@@ -232,7 +235,7 @@ def build_parser():
     g.add_argument("--k", type=int, required=True)
     _add_seed(g)
     _add_output(g)
-    g.set_defaults(func=_cmd_gen)
+    g.set_defaults(func="_cmd_gen")
 
     g = fam.add_parser("sksp", help="random stochastic packing instance")
     g.add_argument("--n", type=int, required=True)
@@ -242,7 +245,7 @@ def build_parser():
     g.add_argument("--cap-hi", type=int, default=2)
     _add_seed(g)
     _add_output(g)
-    g.set_defaults(func=_cmd_gen)
+    g.set_defaults(func="_cmd_gen")
 
     g = fam.add_parser("tree", help="random capacitated tree with demands")
     g.add_argument("--vertices", type=int, required=True)
@@ -250,14 +253,14 @@ def build_parser():
     g.add_argument("--cap-hi", type=int, default=2)
     _add_seed(g)
     _add_output(g)
-    g.set_defaults(func=_cmd_gen)
+    g.set_defaults(func="_cmd_gen")
 
     p = sub.add_parser("solve-lp", help="solve the packing relaxation")
     p.add_argument("instance")
     p.add_argument("--no-strengthen", action="store_true",
                    help="drop the unit-bound rows for items with big entries")
     _add_output(p)
-    p.set_defaults(func=_cmd_solve_lp)
+    p.set_defaults(func="_cmd_solve_lp")
 
     p = sub.add_parser("round", help="run rounding trials and report ratios")
     p.add_argument("algorithm", choices=ALGORITHMS)
@@ -282,7 +285,7 @@ def build_parser():
     p.add_argument("--json", default=None, help="write the full report here")
     p.add_argument("--csv", default=None, help="write the per-item table here")
     _add_seed(p)
-    p.set_defaults(func=_cmd_round)
+    p.set_defaults(func="_cmd_round")
 
     p = sub.add_parser("oracle", help="exact answers on small instances")
     kind = p.add_subparsers(dest="kind", required=True)
@@ -290,7 +293,7 @@ def build_parser():
     g = kind.add_parser("opt", help="exact packing optimum")
     g.add_argument("instance")
     _add_output(g)
-    g.set_defaults(func=_cmd_oracle)
+    g.set_defaults(func="_cmd_oracle")
 
     g = kind.add_parser("inclusion", help="exact per-item inclusion probabilities")
     g.add_argument("instance")
@@ -298,28 +301,27 @@ def build_parser():
     g.add_argument("--epsilon", type=float, default=None)
     g.add_argument("--pairwise", action="store_true")
     _add_output(g)
-    g.set_defaults(func=_cmd_oracle)
+    g.set_defaults(func="_cmd_oracle")
 
     p = sub.add_parser("schedule", help="multi-chance rate schedule")
     p.add_argument("--chances", "-T", type=int, required=True)
     p.add_argument("--k", type=float, default=None,
                    help="column sparsity (default: no finite-k correction)")
     _add_output(p)
-    p.set_defaults(func=_cmd_schedule)
+    p.set_defaults(func="_cmd_schedule")
 
     p = sub.add_parser("optimize-ufp", help="balance-optimal sampling rate")
     p.add_argument("--grid", type=float, default=1e-6)
     _add_output(p)
-    p.set_defaults(func=_cmd_optimize_ufp)
+    p.set_defaults(func="_cmd_optimize_ufp")
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        globals()[args.func](args)
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

@@ -147,7 +147,8 @@ def require_fractional(x, n):
     NaN or lies outside [0, 1] by more than 1e-12 (solver dust)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
-        raise ValidationError(f"x has shape {x.shape}, expected length {n}")
+        raise ValidationError(
+            f"x has shape {x.shape}, expected length {n}: an array of {n} numbers")
     if not np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):
         raise ValidationError("x outside [0,1]")
     return np.clip(x, 0.0, 1.0)

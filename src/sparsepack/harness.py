@@ -29,7 +29,7 @@ import json
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -44,7 +44,7 @@ from .hypermatch import (HmRounder, attenuation_g, hypergraph_lp_instance,
                          theoretical_bound, validate_hypergraph)
 from .kcspip import (EXACT_MARGINAL_CAP, BknsRounder, KcsParams, KcsRounder,
                      instance_k)
-from .lp import solve_packing_lp
+from .lp import BOX_TOL, solve_packing_lp
 from .montecarlo import binomial_stderr, trial_rng
 from .sksp import (MultiChanceSampler, SkspInstance, compute_schedule,
                    default_chances, expected_size_instance, load_sksp,
@@ -335,6 +335,20 @@ def _build_ufp(net, x, params, seed):
     return runner, [up.alpha * up.beta * v for v in x], notes
 
 
+def _excess_note(view, x):
+    """The row of the packing view that x exceeds most, as a note, when
+    it exceeds it by more than BOX_TOL; the floors assume A x <= b."""
+    loads = [-b for b in view.capacities]
+    for xj, col in zip(x, view.columns):
+        for i, a in col:
+            loads[i] += a * xj
+    worst = max(loads, default=0.0)
+    if worst <= BOX_TOL:
+        return []
+    return [f"x exceeds row {loads.index(worst)} of the packing view by "
+            f"{worst:.6g}; the floors assume a feasible x"]
+
+
 def _packing_chunk(view, runner, rng, size):
     """The chunk entry of kcspip, bkns and ufp: one `runner.trial(rng)`
     call per trial, whose item set is weighed and checked on the view."""
@@ -475,11 +489,12 @@ def empirical_ratio(spec, x=None):
     """Run the experiment and return a RoundingReport.
 
     x defaults to the LP solution of the scheme's packing view
-    (strengthened for kcspip and bkns).  Floors and per-item ratios
-    follow the table in the module docstring; `min_ratio` is the worst
-    ratio over items with a positive floor, the single number a
-    guarantee check cares about.  When spec.sink is set, the JSON report
-    is also written there.
+    (strengthened for kcspip and bkns).  An x that exceeds a row of the
+    view is rounded all the same, and the report notes the row it
+    exceeds most.  Floors and per-item ratios follow the table in the
+    module docstring; `min_ratio` is the worst ratio over items with a
+    positive floor, the single number a guarantee check cares about.
+    When spec.sink is set, the JSON report is also written there.
     """
     alg = spec.algorithm
     scheme = SCHEMES[alg]
@@ -489,6 +504,7 @@ def empirical_ratio(spec, x=None):
         x = solve_packing_lp(view, strengthen=scheme.strengthen).x
     x = require_fractional(x, view.n).tolist()
     runner, floors, notes = scheme.build(instance, x, spec.params, spec.seed)
+    notes.extend(_excess_note(view, x))
 
     n_chunks = (spec.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     jobs = min(spec.jobs, n_chunks)
@@ -577,9 +593,12 @@ def empirical_ratio(spec, x=None):
 # Report serialization
 
 def report_to_dict(r):
-    d = asdict(r)
-    d["items"] = list(d["items"])
-    d["notes"] = list(d["notes"])
+    """The report's fields, with `items` a list of item field dicts and
+    `notes` a list.  Every field value is a scalar or a string, so no
+    deep copy is needed."""
+    d = dict(vars(r))
+    d["items"] = [dict(vars(it)) for it in r.items]
+    d["notes"] = list(r.notes)
     return d
 
 

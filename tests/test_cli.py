@@ -298,6 +298,63 @@ def test_usage_error_prints_help(capsys):
     assert "round" in err  # full help, not just the usage line
 
 
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def round_json(capsys, sink, *argv):
+    """The --json bytes of one in-process round."""
+    rc, _, err = run(capsys, "round", *argv, "--json", str(sink))
+    assert rc == 0, err
+    return sink.read_bytes()
+
+
+def test_the_shared_parser_survives_help_and_usage_errors(gap_path, tmp_path,
+                                                          capsys):
+    argv = ("kcspip", "--instance", gap_path, "--trials", "512", "--seed", "5")
+    first = round_json(capsys, tmp_path / "first.json", *argv)
+    assert round_json(capsys, tmp_path / "again.json", *argv) == first
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["no-such-command"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "optimize-ufp" in err
+    assert round_json(capsys, tmp_path / "after-error.json", *argv) == first
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["round", "--help"])
+    assert exc.value.code == 0
+    assert "--instance" in capsys.readouterr().out
+    assert round_json(capsys, tmp_path / "after-help.json", *argv) == first
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["lp", "x"])
+@pytest.mark.parametrize("alg", sorted(ROUND_CASES))
+def test_round_builds_one_packing_view(alg, given, tmp_path, capsys,
+                                       monkeypatch):
+    # with --x, the length check used to build the view a second time
+    family, n, extra = ROUND_CASES[alg]
+    inst = tmp_path / "inst.json"
+    assert run(capsys, "gen", *family, "--seed", "3", "-o", str(inst))[0] == 0
+    scheme = cli.SCHEMES[alg]
+    built = []
+
+    def packing(instance):
+        built.append(instance)
+        return scheme.packing(instance)
+
+    monkeypatch.setitem(cli.SCHEMES, alg,
+                        dataclasses.replace(scheme, packing=packing))
+    argv = ["round", alg, "--instance", str(inst), "--seed", "5",
+            "--trials", "8", *extra]
+    if given:
+        xfile = tmp_path / "x.json"
+        xfile.write_text(json.dumps([0.25] * n))
+        argv += ["--x", str(xfile)]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 0, err
+    assert len(built) == 1
+
+
 def test_internal_violation_maps_to_exit_2(gap_path, capsys, monkeypatch):
     real = cli.empirical_ratio
 

@@ -1,5 +1,6 @@
 """Generators, the exact optimum, and the experiment harness."""
 
+import dataclasses
 import itertools
 import json
 
@@ -277,7 +278,12 @@ def test_ufp_safety_estimates_below_beta_are_noted():
     clamped = [i for i in range(12) if scheme.eta[i] < scheme.params.beta]
     assert scheme.clamped == clamped == [7, 8, 9, 10, 11]
     assert (scheme.keep[clamped] == 1.0).all()
-    assert report.notes == (f"safety estimates below beta for demands {clamped}",)
+    # x = 1 puts twelve units on the unit edge, row 1 of the path LP
+    assert report.notes == (
+        f"safety estimates below beta for demands {clamped}",
+        "x exceeds row 1 of the packing view by 11; the floors assume a "
+        "feasible x",
+    )
 
 
 def test_sksp_experiment_reports_schedule_floor():
@@ -382,6 +388,40 @@ def test_x_length_is_checked():
         empirical_ratio(ExperimentSpec("kcspip", inst, 10, 0), x=[0.5])
 
 
+def test_an_x_that_exceeds_a_row_is_noted():
+    # rows 0 and 1 carry loads 1.5 and 1.0 at x = 1 against capacity 1
+    inst = make_instance([1.0, 1.0], [1.0, 1.0],
+                         [[(0, 1.0), (1, 0.5)], [(0, 0.5), (1, 0.5)]])
+    report = empirical_ratio(ExperimentSpec("kcspip", inst, 64, 0),
+                             x=[1.0, 1.0])
+    assert report.notes == ("x exceeds row 0 of the packing view by 0.5; "
+                            "the floors assume a feasible x",)
+
+
+# Parameters that keep each scheme's set-up small.
+SMALL_PARAMS = {"kcspip": {}, "bkns": {}, "hm": {},
+                "sksp": {"T": 2, "sim_budget": 2_000},
+                "ufp": {"alpha": 0.1, "sim_budget": 2_000}}
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_a_feasible_x_adds_no_note(alg):
+    # The LP solution is a vertex up to solver dust; given as x, it must
+    # read as feasible, and so must the same point with more dust added
+    # to its positive entries (dust on a zero gives sksp a target its
+    # pool cannot see).
+    inst = _scheme_instance(alg)
+    view = SCHEMES[alg].packing(inst)
+    x = np.array(solve_packing_lp(view, strengthen=SCHEMES[alg].strengthen).x)
+    spec = ExperimentSpec(alg, inst, 64, 3, params=SMALL_PARAMS[alg])
+    default = empirical_ratio(spec)
+    assert report_to_json(empirical_ratio(spec, x=x)) == report_to_json(default)
+    dust = np.where(x > 0.0, 1e-9, 0.0)
+    dusty = empirical_ratio(spec, x=np.minimum(x + dust, 1.0))
+    assert dusty.notes == default.notes
+    assert not any(note.startswith("x exceeds") for note in default.notes)
+
+
 def test_hm_checks_the_hypergraph_when_x_is_given():
     h = Hypergraph(m=2, edges=(((0, 7), 1.0), ((1, 1), -3.0)))
     with pytest.raises(ValidationError, match="out of range"):
@@ -412,6 +452,32 @@ def test_report_sink_writes_on_run(tmp_path):
     report = empirical_ratio(
         ExperimentSpec("kcspip", inst, 256, seed=2, sink=str(path)))
     assert json.loads(path.read_text()) == report_to_dict(report)
+
+
+def reference_report_json(r):
+    """The serialisation through dataclasses.asdict, a deep copy."""
+    d = dataclasses.asdict(r)
+    d["items"] = list(d["items"])
+    d["notes"] = list(d["notes"])
+    return json.dumps(d, indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_report_json_matches_the_asdict_bytes(alg):
+    # x_0 = 0 gives a None ratio; x = 1/2 elsewhere exceeds some row, so
+    # the report carries notes; compare_opt attaches opt_value.
+    inst = _scheme_instance(alg)
+    n = SCHEMES[alg].packing(inst).n
+    params = dict(SMALL_PARAMS[alg])
+    if alg in ("kcspip", "bkns"):
+        params["compare_opt"] = True
+    report = empirical_ratio(ExperimentSpec(alg, inst, 256, 4, params=params),
+                             x=[0.0] + [0.5] * (n - 1))
+    assert report.items[0].ratio is None
+    assert report.notes
+    assert (report.opt_value is not None) == ("compare_opt" in params)
+    assert report_to_json(report) == reference_report_json(report)
+    assert report_to_dict(report) == json.loads(reference_report_json(report))
 
 
 def test_report_csv_fields(tmp_path):
