@@ -17,10 +17,9 @@ proper.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DegreeError, InternalInvariantError, ValidationError
 
@@ -30,8 +29,9 @@ class DiGraph:
     """Adjacency-list digraph; out[v] lists the out-neighbors of v.
 
     `neighbours[v]` lists the neighbours of v, direction ignored, once
-    per arc between the two: a 2-cycle lists its partner twice.  It is
-    built on first use, and peeling and coloring share it.
+    per arc between the two: a 2-cycle lists its partner twice.  A maker
+    that has it at hand passes it to `from_valid`; otherwise it is built
+    on first use.  Peeling and coloring share it.
     """
 
     n: int
@@ -50,19 +50,27 @@ class DiGraph:
                     raise ValidationError(f"arc ({v},{u}) out of range")
 
     @classmethod
-    def from_valid(cls, n, out):
+    def from_valid(cls, n, out, neighbours=None):
         """The digraph (n, out) without the checks, for out-lists that
-        are valid by construction."""
+        are valid by construction; `neighbours`, when given, must be the
+        table described above."""
         g = object.__new__(cls)
         g.__dict__.update(n=n, out=out)
+        if neighbours is not None:
+            g.__dict__["neighbours"] = neighbours
         return g
 
-    @cached_property
-    def neighbours(self):
+    def __getattr__(self, name):
+        # reached only while `neighbours` is missing from the instance
+        # dict; once stored there, reading it costs a dict lookup
+        if name != "neighbours":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
         adj = list(map(list, self.out))
         for v, nbrs in enumerate(self.out):
             for u in nbrs:
                 adj[u].append(v)
+        self.__dict__["neighbours"] = adj
         return adj
 
 
@@ -76,8 +84,7 @@ def make_digraph(n, arcs):
     return DiGraph(n=n, out=tuple(tuple(sorted(ns)) for ns in out))
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     colors: tuple
     palette: int
 
@@ -86,58 +93,83 @@ def peel_order(g):
     """Vertices in repeated minimum-total-degree removal order.
 
     Ties break toward the lowest vertex index, so the vertices that
-    start isolated come first, in index order; the rest go through a
-    lazy heap whose stale entries are skipped because degrees only
-    decrease.
+    start isolated come first, in index order.  The rest go through a
+    bucket queue: buckets[d] is the bitset of unpeeled vertices of
+    current degree d, and its lowest set bit is the lowest such index,
+    which is the (degree, index) order of a heap.
     """
     # total degree counts arc multiplicity in both directions
-    deg = list(map(len, g.out))
-    for nbrs in g.out:
-        for u in nbrs:
-            deg[u] += 1
-    order = [v for v, dv in enumerate(deg) if not dv]
-    if len(order) == g.n:
-        return order
     adj = g.neighbours
-    heap = [(dv, v) for v, dv in enumerate(deg) if dv]
-    heapq.heapify(heap)
-    removed = [False] * g.n
-    while heap:
-        dv, v = heapq.heappop(heap)
-        if removed[v] or dv != deg[v]:
-            continue
-        removed[v] = True
+    deg = list(map(len, adj))
+    order = []
+    buckets = [0] * (max(deg, default=0) + 1)
+    for v, dv in enumerate(deg):
+        if dv:
+            buckets[dv] |= 1 << v
+        else:
+            order.append(v)
+    low = 1     # no bucket below this one holds a vertex
+    for _ in range(g.n - len(order)):
+        while not buckets[low]:
+            low += 1
+        bits = buckets[low]
+        bit = bits & -bits
+        buckets[low] = bits ^ bit
+        v = bit.bit_length() - 1
         order.append(v)
+        deg[v] = 0
         for u in adj[v]:
-            if not removed[u]:
-                # losing v costs u one degree per arc between them; the
-                # first push of a 2-cycle partner goes stale at once
-                deg[u] -= 1
-                heapq.heappush(heap, (deg[u], u))
+            du = deg[u]
+            if du:
+                # an unpeeled neighbour still counts its arcs to v, so
+                # du > 0; a peeled one reads 0.  A 2-cycle partner
+                # comes by twice and drops two buckets.
+                bit = 1 << u
+                buckets[du] ^= bit
+                du -= 1
+                buckets[du] |= bit
+                deg[u] = du
+                if du < low:
+                    low = du
     return order
 
 
 def _check_degree(g, d):
-    if max(map(len, g.out), default=0) > d:
+    if g.n and max(map(len, g.out)) > d:
         bad = [v for v, nbrs in enumerate(g.out) if len(nbrs) > d]
         raise DegreeError(f"out-degree above {d} at vertices {bad[:5]}")
 
 
-def _greedy_color(g, d, palette, spread, rng):
-    """Color in reverse peel order.  Each vertex takes the smallest color
-    unused by its already-colored neighbors when rng is None, else a
-    uniform draw among the `spread` smallest.  Requires max out-degree
-    <= d (DegreeError otherwise); the degree argument guarantees that
-    many free colors, so a shortfall is a broken invariant and raises.
-    """
-    _check_degree(g, d)
-    adj = g.neighbours
-    colors = [-1] * g.n
+def _smallest_free(adj, order, palette):
+    """Colors for reverse peel order, each vertex taking the smallest
+    color unused by its already-colored neighbors.  The isolated
+    vertices, which `peel_order` puts first, all take color 0."""
+    colors = [-1 if nbrs else 0 for nbrs in adj]
     color_of = colors.__getitem__
-    for v in reversed(peel_order(g)):
+    for v in reversed(order):
+        nbrs = adj[v]
+        if not nbrs:
+            break       # the isolated block: colored already
+        used = set(map(color_of, nbrs))     # -1: not colored yet
+        c = 0
+        while c in used:
+            c += 1
+        if c >= palette:
+            raise InternalInvariantError(f"no free color at vertex {v}")
+        colors[v] = c
+    return colors
+
+
+def _drawn(adj, order, palette, spread, rng):
+    """Colors for reverse peel order, each vertex taking a uniform draw
+    among the `spread` smallest colors unused by its already-colored
+    neighbors: one draw per vertex, isolated ones included."""
+    colors = [-1] * len(adj)
+    color_of = colors.__getitem__
+    for v in reversed(order):
         if not adj[v]:
-            # every color is free: the smallest, or a draw among `spread`
-            colors[v] = 0 if rng is None else int(rng.integers(spread))
+            # every color is free: a draw among the `spread` smallest
+            colors[v] = int(rng.integers(spread))
             continue
         used = set(map(color_of, adj[v]))   # -1: not colored yet
         avail = []
@@ -150,7 +182,23 @@ def _greedy_color(g, d, palette, spread, rng):
             raise InternalInvariantError(
                 f"only {len(avail)} free colors at vertex {v}, need {spread}"
             )
-        colors[v] = avail[0] if rng is None else avail[int(rng.integers(spread))]
+        colors[v] = avail[int(rng.integers(spread))]
+    return colors
+
+
+def _greedy_color(g, d, palette, spread, rng):
+    """Color in reverse peel order: the smallest free color when rng is
+    None, else a draw among the `spread` smallest.  Requires max
+    out-degree <= d (DegreeError otherwise); the degree argument
+    guarantees that many free colors, so a shortfall is a broken
+    invariant and raises.
+    """
+    _check_degree(g, d)
+    order = peel_order(g)
+    if rng is None:
+        colors = _smallest_free(g.neighbours, order, palette)
+    else:
+        colors = _drawn(g.neighbours, order, palette, spread, rng)
     return Coloring(colors=tuple(colors), palette=palette)
 
 

@@ -89,8 +89,8 @@ class KcsParams:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ParamError(f"alpha={self.alpha} must be positive")
+        if not (0 < self.alpha < math.inf):
+            raise ParamError(f"alpha={self.alpha} must be positive and finite")
         if self.ell < 3:
             raise ParamError(f"ell={self.ell} below 3")
         if self.d < 1:
@@ -137,11 +137,10 @@ def _sample(p, rng):
 class _Soft(NamedTuple):
     """The medium and tiny entries of every item, split once per rounder."""
 
-    med: tuple          # per item, the rows where it is medium
+    med: tuple          # per item, the bitset of rows where it is medium
     tiny: tuple         # per item, the rows where it is tiny
-    entries: tuple      # per item, its medium and tiny (row, a) pairs
+    rows: tuple         # per row, {item: a} over its medium and tiny entries
     tiny_items: frozenset   # the items with a tiny entry
-    m: int              # the row count
 
 
 def _soft_entries(inst, ell):
@@ -151,39 +150,59 @@ def _soft_entries(inst, ell):
     if ell < 3:
         raise ParamError(f"ell={ell} below 3")
     lo = 1.0 / ell
-    entries = tuple(
-        tuple((i, a) for i, a in col if i not in big)
+    entries = [
+        [(i, a) for i, a in col if i not in big]
         for col, big in zip(inst.columns, inst.big_rows)
-    )
-    med = tuple(tuple(i for i, a in e if a >= lo) for e in entries)
+    ]
+    rows = tuple({} for _ in range(inst.m))
+    for j, e in enumerate(entries):
+        for i, a in e:
+            rows[i][j] = a
+    med = tuple(sum(1 << i for i, a in e if a >= lo) for e in entries)
     tiny = tuple(tuple(i for i, a in e if a < lo) for e in entries)
-    return _Soft(med, tiny, entries,
-                 frozenset(j for j, rows in enumerate(tiny) if rows), inst.m)
+    return _Soft(med, tiny, rows,
+                 frozenset(j for j, t in enumerate(tiny) if t))
 
 
-def _discard(soft, sampled):
-    """Survivors of the simultaneous medium/tiny discard step.
+def _blocked(soft, sampled):
+    """The sampled items with a medium or tiny blocking event.
 
     A row blocks its medium items once it holds three sampled mediums,
     and its tiny items once it holds two, or once its medium-plus-tiny
-    load exceeds 1.  Loads are summed only when a tiny item is sampled,
-    in the order `sampled` lists its items.
+    load exceeds 1.  A load is summed only for a row where a sampled
+    item is tiny, adding its entries in the order `sampled` lists them.
     """
-    med, tiny, entries, tiny_items, m = soft
-    count = [0] * m
+    med, tiny, rows, tiny_items = soft
+    # bitsets of the rows holding at least one, two and three mediums
+    one = two = three = 0
     for j in sampled:
-        for i in med[j]:
-            count[i] += 1
-    blocked = {j for j in sampled for i in med[j] if count[i] >= 3}
-    sampled_tiny = tiny_items.intersection(sampled)
-    if sampled_tiny:
-        load = [0.0] * m
-        for j in sampled:
-            for i, a in entries[j]:
-                load[i] += a
-        # sum_{j' != j} a_ij' > 1 - a_ij  <=>  row soft load > 1
-        blocked.update([j for j in sampled_tiny for i in tiny[j]
-                        if count[i] >= 2 or load[i] > 1.0])
+        bits = med[j]
+        three |= two & bits
+        two |= one & bits
+        one |= bits
+    blocked = {j for j in sampled if med[j] & three} if three else set()
+    load = {}
+    for j in tiny_items.intersection(sampled):
+        for i in tiny[j]:
+            if two >> i & 1:
+                blocked.add(j)
+                break
+            if i not in load:
+                total = 0.0
+                for a in map(rows[i].get, sampled):
+                    if a is not None:
+                        total += a
+                load[i] = total
+            # sum_{j' != j} a_ij' > 1 - a_ij  <=>  row soft load > 1
+            if load[i] > 1.0:
+                blocked.add(j)
+                break
+    return blocked
+
+
+def _discard(soft, sampled):
+    """Survivors of the simultaneous medium/tiny discard step."""
+    blocked = _blocked(soft, sampled)
     # Built by adding in `sampled` order: the layout of this frozenset
     # fixes the float order in which bkns's output weights are summed.
     return frozenset({j for j in sampled if j not in blocked})
@@ -227,38 +246,44 @@ def build_conflict_digraph(inst, survivors):
     a_ij > 0 and a_ij' > 1/2.  Vertex t stands for the t-th smallest
     surviving item, so the vertex of a surviving j' is the count of
     survivors below it, and out-lists come out sorted by walking a
-    conflict set's bits upwards."""
-    alive = _mask(survivors)
+    conflict set's bits upwards.  The same walk fills the undirected
+    neighbour table, each list in the order the lazy build gives it:
+    out-neighbours first, then in-neighbours by index."""
+    items = sorted(survivors)
+    alive = _mask(items)
     conflicts = inst.conflicts
-    out = []
-    for j in sorted(survivors):
+    out = [()] * len(items)
+    adj = [[] for _ in items]
+    for t, j in enumerate(items):
         hit = conflicts[j] & alive
         if not hit:
-            out.append(())
             continue
         arcs = []
         while hit:
             low = hit & -hit
-            arcs.append((alive & (low - 1)).bit_count())
+            u = (alive & (low - 1)).bit_count()
+            arcs.append(u)
+            adj[u].append(t)
             hit ^= low
-        out.append(tuple(arcs))
-    return DiGraph.from_valid(len(out), tuple(out))
+        out[t] = tuple(arcs)
+        adj[t][:0] = arcs
+    return DiGraph.from_valid(len(items), tuple(out), adj)
 
 
 def remove_anomalous(g, d):
     """Vertices with out-degree at most d, measured once in g itself."""
+    if not g.n or max(map(len, g.out)) <= d:
+        return frozenset(range(g.n))
     return frozenset([v for v, nbrs in enumerate(g.out) if len(nbrs) <= d])
 
 
 def _induced(g, keep):
-    if len(keep) == g.n:
-        return g, range(g.n)
-    keep = sorted(keep)
+    """The subgraph of g on the sorted vertex set `keep`, relabelled."""
     index = {v: t for t, v in enumerate(keep)}
     out = []
     for v in keep:
         out.append(tuple(index[u] for u in g.out[v] if u in index))
-    return DiGraph.from_valid(len(keep), tuple(out)), keep
+    return DiGraph.from_valid(len(keep), tuple(out))
 
 
 class KcsRounder:
@@ -273,14 +298,17 @@ class KcsRounder:
         self.palette = params.palette_size()
 
     def survivors(self, sampled):
-        """Deterministic mid-pipeline: discard, conflict digraph, anomaly
-        removal.  Returns (surviving item ids, induced digraph)."""
-        r1 = _discard(self.soft, sampled)
-        items = sorted(r1)
-        g = build_conflict_digraph(self.inst, r1)
+        """Deterministic mid-pipeline on the set of sampled item ids:
+        discard, conflict digraph, anomaly removal.  Returns (surviving
+        item ids in increasing order, induced digraph)."""
+        blocked = _blocked(self.soft, sampled)
+        items = sorted(sampled.difference(blocked) if blocked else sampled)
+        g = build_conflict_digraph(self.inst, items)
         kept = remove_anomalous(g, self.params.d)
-        sub, keep = _induced(g, kept)
-        return [items[v] for v in keep], sub
+        if len(kept) == g.n:
+            return items, g
+        keep = sorted(kept)
+        return [items[v] for v in keep], _induced(g, keep)
 
     def _color(self, sub, rng=None):
         """The coloring step: deterministic, or drawn from `rng` on the
@@ -308,10 +336,10 @@ class KcsRounder:
         """One run of the full pipeline; the result always passes
         `check_feasible` by construction."""
         items, sub = self.survivors(_sample(self.p, rng))
-        coloring = self._color(sub, rng)
-        chosen_color = int(rng.integers(self.palette))
-        return frozenset(
-            [items[v] for v, c in enumerate(coloring.colors) if c == chosen_color])
+        colors = self._color(sub, rng).colors
+        chosen = int(rng.integers(self.palette))
+        # the class in vertex order, which fixes the output's layout
+        return frozenset(itertools.compress(items, map(chosen.__eq__, colors)))
 
 
 class BknsRounder:

@@ -209,6 +209,16 @@ def test_bad_parameter_maps_to_exit_1(gap_path, capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("alg", ["kcspip", "bkns"])
+def test_infinite_alpha_maps_to_exit_1(alg, gap_path, capsys):
+    # an infinite rate would make alpha * x_j NaN wherever x_j = 0
+    rc, out, err = run(capsys, "round", alg, "--instance", gap_path,
+                       "--trials", "64", "--alpha", "inf")
+    assert rc == 1
+    assert out == ""
+    assert "alpha=inf must be positive and finite" in err
+
+
 @pytest.mark.parametrize("alg, flags", [
     ("hm", ["--alpha", "0.3", "--sim-budget", "7"]),
     ("hm", ["--no-attenuate-last"]),

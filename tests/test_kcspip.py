@@ -7,6 +7,7 @@ instance that has all three coefficient classes interacting.
 """
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -61,6 +62,7 @@ def test_degree_correction_starts_at_e():
     dict(alpha=1.0, ell=2, d=1), dict(alpha=1.0, ell=3, d=0),
     dict(alpha=1.0, ell=3, d=1, epsilon=0.0),
     dict(alpha=1.0, ell=3, d=1, epsilon=1.0),
+    dict(alpha=math.inf, ell=3, d=1), dict(alpha=math.nan, ell=3, d=1),
 ])
 def test_params_domain(kwargs):
     with pytest.raises(ParamError):
@@ -497,3 +499,41 @@ def test_round_report_bytes_are_pinned(run, tmp_path, capsys, report_digests):
                      "--seed", "11", *flags, "--json", str(report)]) == 0
     capsys.readouterr()
     assert report_digests(report) == GOLDEN_REPORTS_SHA256[run]
+
+
+# sha256 of the --json report of `round <alg> --trials 8192 --seed 11
+# --x <x>` on `gen kcs --n 100 --m 50 --k 4 --seed 1`, with x the
+# `solve-lp` solution: the shape of the benchmark's `trials` operations,
+# where k = 4 gives larger conflict digraphs, 2-cycles and anomalous
+# vertices.  Recorded before the per-trial stages were rewritten.
+TRIALS_SHAPE_SHA256 = {
+    "kcspip": (
+        "087e0bd0338080d2e814b00c33ff383da283c9c921890f228e168aee06067973",
+        "7dfa0eddd1e9624addc0a7c40262348c6f85fc1aa539443af8546f42c4dcf612"),
+    "bkns": (
+        "82fffb3f454f0b800e847d24817b17f1cfdb266b279596cef7f19517b802e7a6",
+        "b49b987b52f1f5d2f999d0bd3b3a441e66371aa61615a992295681487ab681d5"),
+}
+
+
+@pytest.fixture(scope="module")
+def trials_shape(tmp_path_factory):
+    """The instance and LP solution files of the trials-shape pins."""
+    work = tmp_path_factory.mktemp("trials_shape")
+    inst, solved, x = work / "kcs.json", work / "lp.json", work / "x.json"
+    assert cli.main(["gen", "kcs", "--n", "100", "--m", "50", "--k", "4",
+                     "--seed", "1", "-o", str(inst)]) == 0
+    assert cli.main(["solve-lp", str(inst), "-o", str(solved)]) == 0
+    x.write_text(json.dumps(json.loads(solved.read_text())["x"]))
+    return inst, x
+
+
+@pytest.mark.parametrize("alg", sorted(TRIALS_SHAPE_SHA256))
+def test_trials_shape_report_bytes_are_pinned(alg, trials_shape, tmp_path,
+                                              capsys, report_digests):
+    inst, x = trials_shape
+    report = tmp_path / "report.json"
+    assert cli.main(["round", alg, "--instance", str(inst), "--trials", "8192",
+                     "--seed", "11", "--x", str(x), "--json", str(report)]) == 0
+    capsys.readouterr()
+    assert report_digests(report) == TRIALS_SHAPE_SHA256[alg]

@@ -1,7 +1,8 @@
 """Properties of the coefficient classes on random small instances
 (hypothesis): the conflict digraph and bkns's big-blocking against their
-definitions, the strengthening rows, feasibility of every output, and
-the sparse feasibility check against the dense one.
+definitions, the digraph's neighbour table against its out-lists, the
+strengthening rows, feasibility of every output, and the sparse
+feasibility check against the dense one.
 
 Coefficients are drawn with the thresholds 1/2 and 1/ell themselves, and
 values just either side of them, over-represented.
@@ -12,6 +13,7 @@ import pytest
 
 from sparsepack.core import (FEAS_TOL, check_feasible, make_instance,
                              usage_vector)
+from sparsepack.graphcolor import DiGraph
 from sparsepack.kcspip import (BknsRounder, KcsParams, KcsRounder,
                                build_conflict_digraph, discard_blocked)
 from sparsepack.lp import build_relaxation
@@ -66,6 +68,15 @@ def test_conflict_digraph_matches_its_definition(data):
     assert g.n == len(survivors)
     got = {(v, u) for v, nbrs in enumerate(g.out) for u in nbrs}
     assert got == definition_arcs(inst, survivors)
+
+
+@hypothesis.given(st.data())
+def test_conflict_digraph_fills_the_neighbour_table_of_its_out_lists(data):
+    inst = data.draw(instances())
+    survivors = data.draw(item_sets(inst))
+    g = build_conflict_digraph(inst, survivors)
+    # a digraph given only the out-lists builds the table on first use
+    assert g.neighbours == DiGraph(g.n, g.out).neighbours
 
 
 @hypothesis.given(st.data())
