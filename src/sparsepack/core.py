@@ -70,6 +70,19 @@ class PackingInstance:
         return tuple(out)
 
     @cached_property
+    def row_bits(self):
+        """(rows, overfull): for each item j, the bitset of the rows it
+        touches, and of those where its entry alone exceeds the capacity
+        by more than FEAS_TOL (none on a valid instance), as
+        `check_feasible` reads them."""
+        rows = tuple(sum(1 << i for i, _ in col) for col in self.columns)
+        overfull = tuple(
+            sum(1 << i for i, a in col
+                if not (a <= self.capacities[i] + FEAS_TOL))
+            for col in self.columns)
+        return rows, overfull
+
+    @cached_property
     def validation(self):
         """The structural check of `validate_instance`, made once per
         instance: it is frozen, and every rounder asks again.
@@ -200,16 +213,34 @@ def usage_vector(inst, chosen):
 def check_feasible(inst, chosen):
     """True iff every row load is within capacity (+1e-9).
 
-    Only the rows `chosen` touches are summed, in the order
-    `usage_vector` sums them, so a load lands on exactly the same float;
-    an untouched row holds load 0 against a capacity of at least 1."""
-    n, columns, capacities = inst.n, inst.columns, inst.capacities
-    load = {}
-    for j in frozenset(chosen):
+    Only rows that two chosen items share, or on which one entry alone
+    exceeds the capacity, are summed, in the order `usage_vector` sums
+    them, so a load lands on exactly the same float.  Any other touched
+    row holds one entry a, whose load 0.0 + a is a itself and fits by
+    `row_bits`; an untouched row holds load 0 against a capacity of at
+    least 1."""
+    n = inst.n
+    rows, overfull = inst.row_bits
+    chosen = frozenset(chosen)
+    seen = summed = 0
+    for j in chosen:
         if not (0 <= j < n):
             raise ValidationError(f"item {j} out of range")
-        for i, a in columns[j]:
-            load[i] = load.get(i, 0.0) + a
+        bits = rows[j]
+        summed |= seen & bits | overfull[j]
+        seen |= bits
+    if not summed:
+        return True
+    columns, capacities = inst.columns, inst.capacities
+    load = {}
+    for j in chosen:
+        if rows[j] & summed:
+            for i, a in columns[j]:
+                if summed >> i & 1:
+                    if i in load:
+                        load[i] += a
+                    else:
+                        load[i] = a     # 0.0 + a, exactly
     for i, u in load.items():
         if not (u <= capacities[i] + FEAS_TOL):
             return False
@@ -217,8 +248,7 @@ def check_feasible(inst, chosen):
 
 
 def objective_value(inst, chosen):
-    weights = inst.weights
-    return float(sum([weights[j] for j in chosen]))
+    return float(sum(map(inst.weights.__getitem__, chosen)))
 
 
 # ---------------------------------------------------------------------------

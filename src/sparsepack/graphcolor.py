@@ -29,9 +29,9 @@ class DiGraph:
     """Adjacency-list digraph; out[v] lists the out-neighbors of v.
 
     `neighbours[v]` lists the neighbours of v, direction ignored, once
-    per arc between the two: a 2-cycle lists its partner twice.  A maker
-    that has it at hand passes it to `from_valid`; otherwise it is built
-    on first use.  Peeling and coloring share it.
+    per arc between the two: a 2-cycle lists its partner twice.  It is
+    built with the graph, unless a maker that has it at hand passes it
+    to `from_valid`.  Peeling and coloring share it.
     """
 
     n: int
@@ -48,6 +48,7 @@ class DiGraph:
                     raise ValidationError(f"self-loop at {v}")
                 if not (0 <= u < self.n):
                     raise ValidationError(f"arc ({v},{u}) out of range")
+        self.__dict__["neighbours"] = _neighbours(self.out)
 
     @classmethod
     def from_valid(cls, n, out, neighbours=None):
@@ -55,23 +56,20 @@ class DiGraph:
         are valid by construction; `neighbours`, when given, must be the
         table described above."""
         g = object.__new__(cls)
-        g.__dict__.update(n=n, out=out)
-        if neighbours is not None:
-            g.__dict__["neighbours"] = neighbours
+        if neighbours is None:
+            neighbours = _neighbours(out)
+        g.__dict__.update(n=n, out=out, neighbours=neighbours)
         return g
 
-    def __getattr__(self, name):
-        # reached only while `neighbours` is missing from the instance
-        # dict; once stored there, reading it costs a dict lookup
-        if name != "neighbours":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        adj = list(map(list, self.out))
-        for v, nbrs in enumerate(self.out):
-            for u in nbrs:
-                adj[u].append(v)
-        self.__dict__["neighbours"] = adj
-        return adj
+
+def _neighbours(out):
+    """The neighbour table of the out-lists `out`: each vertex's
+    out-neighbours, then its in-neighbours by index."""
+    adj = list(map(list, out))
+    for v, nbrs in enumerate(out):
+        for u in nbrs:
+            adj[u].append(v)
+    return adj
 
 
 def make_digraph(n, arcs):
@@ -108,33 +106,46 @@ def peel_order(g):
             buckets[dv] |= 1 << v
         else:
             order.append(v)
-    low = 1     # no bucket below this one holds a vertex
-    for _ in range(g.n - len(order)):
-        while not buckets[low]:
-            low += 1
+    left = g.n - len(order)
+    low = 1     # no bucket below this one holds a vertex; 0 never does
+    while left:
         bits = buckets[low]
+        while not bits:
+            low += 1
+            bits = buckets[low]
         bit = bits & -bits
         buckets[low] = bits ^ bit
         v = bit.bit_length() - 1
         order.append(v)
+        left -= 1
         deg[v] = 0
         for u in adj[v]:
+            # an unpeeled neighbour still counts its arcs to v, so
+            # du > 0; a peeled one reads 0.  A 2-cycle partner comes
+            # by twice and drops two.
             du = deg[u]
             if du:
-                # an unpeeled neighbour still counts its arcs to v, so
-                # du > 0; a peeled one reads 0.  A 2-cycle partner
-                # comes by twice and drops two buckets.
                 bit = 1 << u
                 buckets[du] ^= bit
                 du -= 1
-                buckets[du] |= bit
                 deg[u] = du
-                if du < low:
-                    low = du
+                if du:
+                    buckets[du] |= bit
+                    if du < low:
+                        low = du
+                else:
+                    # All of u's arcs were to v, and deg v <= deg u, so
+                    # u was v's one neighbour.  Now the only vertex of
+                    # degree 0, u is peeled next.
+                    order.append(u)
+                    left -= 1
     return order
 
 
 def _check_degree(g, d):
+    """Coloring requires max out-degree <= d: the degree argument then
+    guarantees enough free colors, so a shortfall later is a broken
+    invariant and raises."""
     if g.n and max(map(len, g.out)) > d:
         bad = [v for v, nbrs in enumerate(g.out) if len(nbrs) > d]
         raise DegreeError(f"out-degree above {d} at vertices {bad[:5]}")
@@ -142,18 +153,22 @@ def _check_degree(g, d):
 
 def _smallest_free(adj, order, palette):
     """Colors for reverse peel order, each vertex taking the smallest
-    color unused by its already-colored neighbors.  The isolated
-    vertices, which `peel_order` puts first, all take color 0."""
-    colors = [-1 if nbrs else 0 for nbrs in adj]
-    color_of = colors.__getitem__
-    for v in reversed(order):
+    color unused by its already-colored neighbors: the lowest clear bit
+    of the mask of their colors, in which a neighbor not colored yet
+    sets bit `palette`.  The isolated vertices, which `peel_order` puts
+    first, all take color 0."""
+    colors = [palette] * len(adj)
+    for done, v in enumerate(reversed(order)):
         nbrs = adj[v]
         if not nbrs:
-            break       # the isolated block: colored already
-        used = set(map(color_of, nbrs))     # -1: not colored yet
-        c = 0
-        while c in used:
-            c += 1
+            # the isolated block: every color is free
+            for u in order[:len(order) - done]:
+                colors[u] = 0
+            break
+        used = 0
+        for u in nbrs:
+            used |= 1 << colors[u]
+        c = (~used & (used + 1)).bit_length() - 1
         if c >= palette:
             raise InternalInvariantError(f"no free color at vertex {v}")
         colors[v] = c
@@ -186,26 +201,14 @@ def _drawn(adj, order, palette, spread, rng):
     return colors
 
 
-def _greedy_color(g, d, palette, spread, rng):
-    """Color in reverse peel order: the smallest free color when rng is
-    None, else a draw among the `spread` smallest.  Requires max
-    out-degree <= d (DegreeError otherwise); the degree argument
-    guarantees that many free colors, so a shortfall is a broken
-    invariant and raises.
-    """
-    _check_degree(g, d)
-    order = peel_order(g)
-    if rng is None:
-        colors = _smallest_free(g.neighbours, order, palette)
-    else:
-        colors = _drawn(g.neighbours, order, palette, spread, rng)
-    return Coloring(colors=tuple(colors), palette=palette)
-
-
 def color_directed_graph(g, d):
-    """Deterministic proper coloring with at most 2d+1 colors: each vertex
-    takes the smallest free color."""
-    return _greedy_color(g, d, 2 * d + 1, 1, None)
+    """Deterministic proper coloring with at most 2d+1 colors: each vertex,
+    in reverse peel order, takes the smallest free color.  Raises
+    DegreeError when an out-degree exceeds d."""
+    _check_degree(g, d)
+    palette = 2 * d + 1
+    colors = _smallest_free(g.neighbours, peel_order(g), palette)
+    return Coloring(tuple(colors), palette)
 
 
 def neg_corr_palette(d, epsilon):
@@ -224,7 +227,9 @@ def color_neg_corr(g, d, epsilon, rng):
     if not (0.0 < epsilon < 1.0):
         raise ValidationError(f"epsilon={epsilon} outside (0,1)")
     palette, spread = neg_corr_palette(d, epsilon)
-    return _greedy_color(g, d, palette, spread, rng)
+    _check_degree(g, d)
+    colors = _drawn(g.neighbours, peel_order(g), palette, spread, rng)
+    return Coloring(tuple(colors), palette)
 
 
 def verify_coloring(g, coloring):

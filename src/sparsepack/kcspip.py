@@ -45,6 +45,7 @@ and tiny.  A trial only intersects these tables with its own item sets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -135,12 +136,23 @@ def _sample(p, rng):
 
 
 class _Soft(NamedTuple):
-    """The medium and tiny entries of every item, split once per rounder."""
+    """The medium and tiny entries of every item, split once per rounder.
 
-    med: tuple          # per item, the bitset of rows where it is medium
-    tiny: tuple         # per item, the rows where it is tiny
+    Medium entries are counted per row in one Python int with a field
+    of `width` bits per row, wide enough for any count up to n with the
+    field's top bit clear.  Adding a constant with top - c in every
+    field (`at_least_2`, `at_least_3`) sets a field's top bit exactly
+    when its count is at least c, and carries into no other field.
+    """
+
+    med: tuple          # per item, 1 in the field of each row where it is medium
+    tiny: tuple         # per item, (row, the row field's top bit) where it is tiny
     rows: tuple         # per row, {item: a} over its medium and tiny entries
     tiny_items: frozenset   # the items with a tiny entry
+    width: int          # bits per row field
+    tops: int           # the top bit of every row field
+    at_least_2: int     # top - 2 in every row field
+    at_least_3: int     # top - 3 in every row field
 
 
 def _soft_entries(inst, ell):
@@ -158,10 +170,16 @@ def _soft_entries(inst, ell):
     for j, e in enumerate(entries):
         for i, a in e:
             rows[i][j] = a
-    med = tuple(sum(1 << i for i, a in e if a >= lo) for e in entries)
-    tiny = tuple(tuple(i for i, a in e if a < lo) for e in entries)
+    width = inst.n.bit_length() + 3
+    top = 1 << (width - 1)
+    fields = [width * i for i in range(inst.m)]
+    med = tuple(sum(1 << fields[i] for i, a in e if a >= lo) for e in entries)
+    tiny = tuple(tuple((i, top << fields[i]) for i, a in e if a < lo)
+                 for e in entries)
     return _Soft(med, tiny, rows,
-                 frozenset(j for j, t in enumerate(tiny) if t))
+                 frozenset(j for j, t in enumerate(tiny) if t), width,
+                 sum(top << f for f in fields),
+                 *(sum((top - c) << f for f in fields) for c in (2, 3)))
 
 
 def _blocked(soft, sampled):
@@ -172,19 +190,22 @@ def _blocked(soft, sampled):
     load exceeds 1.  A load is summed only for a row where a sampled
     item is tiny, adding its entries in the order `sampled` lists them.
     """
-    med, tiny, rows, tiny_items = soft
-    # bitsets of the rows holding at least one, two and three mediums
-    one = two = three = 0
-    for j in sampled:
-        bits = med[j]
-        three |= two & bits
-        two |= one & bits
-        one |= bits
-    blocked = {j for j in sampled if med[j] & three} if three else set()
+    med, tiny, rows, tiny_items, width, tops, at_least_2, at_least_3 = soft
+    counts = sum(map(med.__getitem__, sampled))
+    three = (counts + at_least_3) & tops
+    if three:
+        shift = width - 1
+        blocked = {j for j in sampled if med[j] << shift & three}
+    else:
+        blocked = set()
+    tiny_sampled = tiny_items.intersection(sampled)
+    if not tiny_sampled:
+        return blocked
+    two = (counts + at_least_2) & tops
     load = {}
-    for j in tiny_items.intersection(sampled):
-        for i in tiny[j]:
-            if two >> i & 1:
+    for j in tiny_sampled:
+        for i, bit in tiny[j]:
+            if two & bit:
                 blocked.add(j)
                 break
             if i not in load:
@@ -247,8 +268,8 @@ def build_conflict_digraph(inst, survivors):
     surviving item, so the vertex of a surviving j' is the count of
     survivors below it, and out-lists come out sorted by walking a
     conflict set's bits upwards.  The same walk fills the undirected
-    neighbour table, each list in the order the lazy build gives it:
-    out-neighbours first, then in-neighbours by index."""
+    neighbour table, each list in the order `DiGraph` builds it from
+    out-lists: out-neighbours first, then in-neighbours by index."""
     items = sorted(survivors)
     alive = _mask(items)
     conflicts = inst.conflicts
@@ -270,10 +291,16 @@ def build_conflict_digraph(inst, survivors):
     return DiGraph.from_valid(len(items), tuple(out), adj)
 
 
+@functools.lru_cache(maxsize=256)
+def _every_vertex(n):
+    """frozenset(range(n)), built once per n: it cannot change."""
+    return frozenset(range(n))
+
+
 def remove_anomalous(g, d):
     """Vertices with out-degree at most d, measured once in g itself."""
     if not g.n or max(map(len, g.out)) <= d:
-        return frozenset(range(g.n))
+        return _every_vertex(g.n)
     return frozenset([v for v, nbrs in enumerate(g.out) if len(nbrs) <= d])
 
 
@@ -339,7 +366,7 @@ class KcsRounder:
         colors = self._color(sub, rng).colors
         chosen = int(rng.integers(self.palette))
         # the class in vertex order, which fixes the output's layout
-        return frozenset(itertools.compress(items, map(chosen.__eq__, colors)))
+        return frozenset([items[v] for v, c in enumerate(colors) if c == chosen])
 
 
 class BknsRounder:

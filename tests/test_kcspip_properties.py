@@ -1,8 +1,8 @@
 """Properties of the coefficient classes on random small instances
-(hypothesis): the conflict digraph and bkns's big-blocking against their
-definitions, the digraph's neighbour table against its out-lists, the
-strengthening rows, feasibility of every output, and the sparse
-feasibility check against the dense one.
+(hypothesis): the discard, the conflict digraph and bkns's big-blocking
+against their definitions, the digraph's neighbour table against its
+out-lists, the strengthening rows, feasibility of every output, and the
+sparse feasibility check against the dense one.
 
 Coefficients are drawn with the thresholds 1/2 and 1/ell themselves, and
 values just either side of them, over-represented.
@@ -70,12 +70,42 @@ def test_conflict_digraph_matches_its_definition(data):
     assert got == definition_arcs(inst, survivors)
 
 
+def reference_discard(inst, sampled, ell):
+    """The discard with a medium count and a soft load on every row, each
+    summed over the items in the order `sampled` lists them."""
+    lo = 1.0 / ell
+    count = [0] * inst.m
+    load = [0.0] * inst.m
+    for j in sampled:
+        for i, a in inst.columns[j]:
+            if a <= 0.5:
+                count[i] += a >= lo
+                load[i] += a
+
+    def blocked(j):
+        return any(count[i] >= 3 if a >= lo else count[i] >= 2 or load[i] > 1.0
+                   for i, a in inst.columns[j] if a <= 0.5)
+
+    return frozenset(j for j in sampled if not blocked(j))
+
+
+@hypothesis.given(st.data())
+def test_discard_equals_the_every_row_reference(data):
+    # eighths put tiny items (below 1/ELL) on rows whose loads sum to
+    # exactly 1, where the strict "> 1" decides
+    eighths = st.sampled_from([0.125, 0.25, 0.375, 0.5, 0.625])
+    inst = data.draw(instances() | instances(eighths))
+    sampled = data.draw(item_sets(inst))
+    assert discard_blocked(inst, sampled, ell=ELL) == reference_discard(
+        inst, sampled, ELL)
+
+
 @hypothesis.given(st.data())
 def test_conflict_digraph_fills_the_neighbour_table_of_its_out_lists(data):
     inst = data.draw(instances())
     survivors = data.draw(item_sets(inst))
     g = build_conflict_digraph(inst, survivors)
-    # a digraph given only the out-lists builds the table on first use
+    # a digraph given only the out-lists builds the table from them
     assert g.neighbours == DiGraph(g.n, g.out).neighbours
 
 
@@ -139,6 +169,10 @@ def test_check_feasible_equals_the_dense_check(data):
     # load, so those rows sit exactly at capacity
     tight = make_instance(np.maximum(load, inst.capacities), inst.weights,
                           inst.columns, k=inst.k)
-    for case in (inst, tight):
+    # capacities below 1, which validation refuses, so that one entry
+    # alone can overfill its row
+    low = make_instance(np.full(inst.m, 0.4), inst.weights, inst.columns,
+                        k=inst.k)
+    for case in (inst, tight, low):
         dense = load <= np.asarray(case.capacities) + FEAS_TOL
         assert check_feasible(case, chosen) == bool(np.all(dense))
