@@ -81,12 +81,12 @@ def _load_x(path):
             x = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParamError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(x, list):
-        raise ParamError(f"{path} must hold a JSON array of numbers")
-    try:
-        return [float(v) for v in x]
-    except (TypeError, ValueError):
-        raise ParamError(f"{path} must hold a JSON array of numbers") from None
+    try:  # JSON numbers only: a bool or a string is refused, not coerced
+        if isinstance(x, list) and all(type(v) in (int, float) for v in x):
+            return [float(v) for v in x]
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ParamError(f"{path} must hold a JSON array of numbers")
 
 
 # ---------------------------------------------------------------------------

@@ -401,9 +401,8 @@ def _hm_chunk(view, runner, rng, size):
         trial, edge = runner.trials(rng, b)
         counts += np.bincount(edge, minlength=view.n)
         slots = h.vertex_array.take(edge, axis=1) + trial * width
-        loads = np.bincount(slots.ravel(), minlength=b * width)
-        loads[h.m::width] = 0
-        bad.extend((lo + np.unique(np.flatnonzero(loads > 1) // width)).tolist())
+        loads = np.bincount(slots.ravel(), minlength=b * width).reshape(b, width)
+        bad.extend((lo + (loads[:, :h.m].max(axis=1) > 1).nonzero()[0]).tolist())
         ids = edge.tolist()
         start = 0
         for end in np.bincount(trial, minlength=b).cumsum().tolist():

@@ -21,7 +21,9 @@ probabilities on hypergraphs of at most EXACT_EDGE_CAP edges.
 
 `HmRounder.trial` draws one matching; `HmRounder.trials` draws a block
 of them in one vectorised sweep, from the same draws and with the same
-matchings as that many `trial` calls.
+matchings as that many `trial` calls: one `rng.random(c_t + n)` call
+draws trial t's c_t keys and trial t+1's n marks, and as a PCG64 double
+takes one 64-bit output, the values and the end state do not move.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -204,23 +207,31 @@ class HmRounder:
         """Mark with probability g(x_e), sweep by uniform keys (drawn only
         for marked edges; unmarked edges can never affect the outcome),
         tie-break by edge index."""
-        marked = np.nonzero(rng.random(self.h.n) < self.rates)[0].tolist()
-        keys = rng.random(len(marked)).tolist()
-        return _sweep(self.h, marked, keys)
+        marked = (rng.random(self.h.n) < self.rates).nonzero()[0].tolist()
+        if len(marked) > 1:
+            return _sweep(self.h, marked, rng.random(len(marked)).tolist())
+        if marked:  # a lone key decides nothing, but it is drawn
+            rng.random()
+        return frozenset(marked)
 
     def trials(self, rng, size):
         """`size` calls of `trial` in one sweep: the same draws from rng,
-        in the same order, and the same matchings.
+        in the same order, and the same matchings, from one generator call
+        per trial: trial t's keys with trial t+1's marks, the first marks
+        and the last keys alone.  A block of size 0 draws nothing.
 
         Returns the matchings as two int arrays of (trial, edge) pairs,
         sorted by trial, then by edge.  Memory grows with size times the
         vertex count, so callers sweep long runs in blocks."""
         n, rates = self.h.n, self.rates
         marked, keys = [], []
-        for _ in range(size):
-            mine = np.flatnonzero(rng.random(n) < rates)
+        u = rng.random(n) if size else None
+        for left in range(size - 1, -1, -1):
+            mine = (u < rates).nonzero()[0]
+            draw = rng.random(mine.size + n if left else mine.size)
             marked.append(mine)
-            keys.append(rng.random(mine.size))
+            keys.append(draw[:mine.size])
+            u = draw[mine.size:]
         trial = np.repeat(np.arange(size), [e.size for e in marked])
         edge = np.concatenate(marked) if marked else trial
         accept = _block_sweep(self.h, size, trial, edge,
@@ -275,7 +286,10 @@ def exact_match_probabilities(h, x, g):
 
 
 def matching_weight(h, edge_ids):
-    return float(sum(map(h.weights.__getitem__, edge_ids)))
+    """The weights of the edge id sequence, added left to right."""
+    w = h.weights
+    return float(sum(itemgetter(*edge_ids)(w) if len(edge_ids) > 1
+                     else [w[j] for j in edge_ids]))
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +303,18 @@ def hypergraph_to_dict(h):
 
 
 def hypergraph_from_dict(d):
+    """m and the vertex ids must be JSON integers, and each weight a
+    JSON number: a bool or a string is refused, not coerced."""
     try:
-        h = make_hypergraph(
-            d["m"], [(e["vertices"], e["weight"]) for e in d["edges"]]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        m, edges = d["m"], [(e["vertices"], e["weight"]) for e in d["edges"]]
+        if type(m) is not int:
+            raise ValidationError(f"hypergraph m={m!r} is not an integer")
+        for j, (vs, w) in enumerate(edges):
+            if not (isinstance(vs, (list, tuple)) and type(w) in (int, float)
+                    and all(type(v) is int for v in vs)):
+                raise ValidationError(f"hypergraph edge {j} is {vs!r}, {w!r}")
+        h = make_hypergraph(m, edges)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValidationError(f"malformed hypergraph JSON: {exc}") from exc
     return require_clean(validate_hypergraph, h)
 

@@ -151,6 +151,24 @@ def test_round_rejects_nan_in_x(alg, tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("entry", ['"0.5"', "true", "false", "1" + "0" * 400],
+                         ids=["string", "true", "false", "beyond-float"])
+def test_round_rejects_x_entries_that_are_not_json_numbers(entry, tmp_path,
+                                                           capsys):
+    # float() used to turn "0.5" into 0.5 and true into 1.0, and the round
+    # ran; an integer beyond the float range escaped as an OverflowError.
+    family, n, extra = ROUND_CASES["hm"]
+    inst = tmp_path / "inst.json"
+    assert run(capsys, "gen", *family, "--seed", "3", "-o", str(inst))[0] == 0
+    xfile = tmp_path / "x.json"
+    xfile.write_text("[" + ", ".join([entry] + ["0.25"] * (n - 1)) + "]")
+    rc, out, err = run(capsys, "round", "hm", "--instance", str(inst),
+                       "--seed", "5", "--trials", "8", "--x", str(xfile))
+    assert rc == 1
+    assert "must hold a JSON array of numbers" in err
+    assert out == ""
+
+
 def test_solve_lp_rejects_infinite_capacity(tmp_path, capsys):
     path = tmp_path / "inf.json"
     inst = gen_gap_instance(2)

@@ -208,6 +208,27 @@ def test_load_rejects_malformed(tmp_path):
         load_hypergraph(path)
 
 
+@pytest.mark.parametrize("m, edge, named", [
+    (3, {"vertices": [0.9, 1.7], "weight": 2.0}, "edge 1"),  # was (0, 1)
+    (3, {"vertices": [0, 1], "weight": "2"}, "edge 1"),      # was 2.0
+    (3, {"vertices": [True, 2], "weight": 1.0}, "edge 1"),   # was (1, 2)
+    (3, {"vertices": [0, 1], "weight": True}, "edge 1"),     # was 1.0
+    (3, {"vertices": "01", "weight": 1.0}, "edge 1"),        # was (0, 1)
+    (3.0, {"vertices": [0, 1], "weight": 1.0}, "m=3.0"),
+])
+def test_load_refuses_what_it_used_to_coerce(m, edge, named):
+    d = {"m": m, "edges": [{"vertices": [2], "weight": 1}, edge]}
+    with pytest.raises(ValidationError, match=named):
+        hypergraph_from_dict(d)
+
+
+def test_load_takes_integer_weights_as_floats():
+    h = hypergraph_from_dict({"m": 2, "edges": [{"vertices": [0, 1],
+                                                 "weight": 3}]})
+    assert h.edges == (((0, 1), 3.0),)
+    assert type(h.edges[0][1]) is float
+
+
 # ---------------------------------------------------------------------------
 # The exact oracle
 
