@@ -45,13 +45,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(value):
-    if value is not None:
-        return value
-    raw = os.environ.get("SPARSEPACK_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParamError(f"SPARSEPACK_SEED={raw!r} is not an integer") from None
+    """--seed, else SPARSEPACK_SEED, else 0, as a seed numpy's
+    SeedSequence takes: a non-negative integer."""
+    source = f"--seed {value}"
+    if value is None:
+        raw = os.environ.get("SPARSEPACK_SEED", "0")
+        source = f"SPARSEPACK_SEED={raw!r}"
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ParamError(f"{source} is not an integer") from None
+    if value < 0:
+        raise ParamError(f"{source} is negative; a seed must be >= 0")
+    return value
 
 
 def _emit(obj, path):

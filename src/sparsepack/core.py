@@ -267,12 +267,37 @@ def instance_to_dict(inst):
     return d
 
 
+def json_int(value, field):
+    """value if it decoded from a JSON integer, else a ValidationError
+    naming field: a bool, a float or a string is refused, not coerced."""
+    if type(value) is not int:
+        raise ValidationError(f"{field}={value!r} is not a JSON integer")
+    return value
+
+
+def json_number(value, field):
+    """value if it decoded from a JSON number, else a ValidationError
+    naming field: a bool or a string is refused, not coerced."""
+    if type(value) not in (int, float):
+        raise ValidationError(f"{field}={value!r} is not a JSON number")
+    return value
+
+
 def instance_from_dict(d):
+    """Row indices, n, m and k must be JSON integers (k may be null),
+    and capacities, weights and coefficients JSON numbers."""
     try:
+        for key in ("n", "m", "k"):
+            if d.get(key) is not None:
+                json_int(d[key], key)
         inst = make_instance(
-            d["capacities"], d["weights"], d["columns"], k=d.get("k")
+            [json_number(b, "capacity") for b in d["capacities"]],
+            [json_number(w, "weight") for w in d["weights"]],
+            [[(json_int(i, "column row"), json_number(a, "coefficient"))
+              for i, a in col] for col in d["columns"]],
+            k=d.get("k"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed instance JSON: {exc}") from exc
     if inst.n != d.get("n", inst.n) or inst.m != d.get("m", inst.m):
         raise ValidationError("declared n/m disagree with column data")

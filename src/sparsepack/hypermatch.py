@@ -36,8 +36,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import (ValidationReport, make_instance, read_json, require_clean,
-                   require_fractional, write_json)
+from .core import (ValidationReport, json_int, json_number, make_instance,
+                   read_json, require_clean, require_fractional, write_json)
 from .errors import DomainError, SizeError, ValidationError
 
 EXACT_EDGE_CAP = 7
@@ -306,14 +306,10 @@ def hypergraph_from_dict(d):
     """m and the vertex ids must be JSON integers, and each weight a
     JSON number: a bool or a string is refused, not coerced."""
     try:
-        m, edges = d["m"], [(e["vertices"], e["weight"]) for e in d["edges"]]
-        if type(m) is not int:
-            raise ValidationError(f"hypergraph m={m!r} is not an integer")
-        for j, (vs, w) in enumerate(edges):
-            if not (isinstance(vs, (list, tuple)) and type(w) in (int, float)
-                    and all(type(v) is int for v in vs)):
-                raise ValidationError(f"hypergraph edge {j} is {vs!r}, {w!r}")
-        h = make_hypergraph(m, edges)
+        h = make_hypergraph(json_int(d["m"], "hypergraph m"), [
+            ([json_int(v, f"hypergraph edge {j} vertex") for v in e["vertices"]],
+             json_number(e["weight"], f"hypergraph edge {j} weight"))
+            for j, e in enumerate(d["edges"])])
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValidationError(f"malformed hypergraph JSON: {exc}") from exc
     return require_clean(validate_hypergraph, h)

@@ -35,9 +35,11 @@ it simulates: hits, order keys and keep coins (each T x n), then
 scenario uniforms.  `_Engine` reduces the blocks of B runs to their
 live events (per chance, the items first hit there and kept, in
 visiting order), and the pools and `chance_tally` simulate those in a
-vectorised pass, one run slice at a time.  A trial walks its one block
-in plain Python, visiting only the chances and items that can change
-its outcome, so it is exactly the one row of a pass over that stream.
+vectorised pass, one run slice at a time.  The draw and the pass skip
+two checks that cannot fail (see `_Engine`), so the estimates are those
+of the full computation.  A trial walks its one block in plain Python,
+visiting only the chances and items that can change its outcome, so it
+is exactly the one row of a pass over that stream.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (ValidationReport, make_instance, read_json, require_clean,
-                   require_fractional, write_json)
+from .core import (ValidationReport, json_int, json_number, make_instance,
+                   read_json, require_clean, require_fractional, write_json)
 from .errors import AttenuationError, ParamError, ValidationError
 # perfbench/probe.py's tracer wraps `sksp.solve_packing_lp`, so the name
 # stays bound here although this module no longer calls it.
@@ -267,6 +269,14 @@ class _Engine:
     change the outcome, and it orders only the items hit and kept in a
     chance.  tests/test_sksp_properties.py pins the walk to the pass run
     by run on twin streams.
+
+    Two checks are skipped where their result is fixed.  `_draw`
+    compares no keep coins in a chance whose keep row has no entry below
+    1, since every uniform is below 1 (NaN is not >= 1, so a row holding
+    one is still compared).  `_pass` adds each run's first event of the
+    first chance without reading the rows' room, since every row still
+    has all of it: capacities are integers >= 1, and the sentinel row's
+    room is 1.  The same test file pins both to twins that check all.
     """
 
     def __init__(self, inst, x):
@@ -317,16 +327,20 @@ class _Engine:
         """
         T, n = yp.shape
         tn = T * n
+        keeps = np.asarray(keeps)
         u = rng.random((B, 3 * tn + n))
         flat = u.ravel()
         hit = u[:, :tn].reshape(B, T, n) < yp
-        live = (u[:, 2 * tn:3 * tn].reshape(B, T, n) < keeps) & hit
+        coins = u[:, 2 * tn:3 * tn].reshape(B, T, n)
         chances = []
         for t in range(T):
+            live = hit[:, t]
             if t:  # hit[:, t - 1] is the running OR of the hits before t
-                live[:, t] &= ~hit[:, t - 1]
+                live = live > hit[:, t - 1]  # hit at t and not before
                 hit[:, t] |= hit[:, t - 1]
-            runs, items = np.nonzero(live[:, t])
+            if not (keeps[t] >= 1).all():  # else every coin u < 1 keeps
+                live = live & (coins[:, t] < keeps[t])
+            runs, items = np.divmod(np.flatnonzero(live), n)
             row = runs * u.shape[1]
             # by key, then stably by run (a narrow dtype radix-sorts)
             order = flat[row + tn + t * n + items].argsort()
@@ -366,8 +380,10 @@ class _Engine:
                 e = first[active] + rank
                 j = items[e]
                 cells = self.sup.take(j, axis=1) + active * m1
-                ok = (free[cells] > 0).all(axis=0)
-                r, e, j, cells = active[ok], e[ok], j[ok], cells[:, ok]
+                r = active
+                if t or rank:  # else each run's first event: all rows have room
+                    ok = np.flatnonzero((free[cells] > 0).all(axis=0))
+                    r, e, j, cells = active[ok], e[ok], j[ok], cells[:, ok]
                 js = j * S + (self.scum.take(j, axis=1) < scen_u[e]).sum(axis=0)
                 free[cells] -= self.bit_tab.take(js, axis=1)
                 weight[r] += self.w_tab[js]
@@ -581,16 +597,23 @@ def sksp_to_dict(inst):
 
 
 def sksp_from_dict(d):
+    """m, k, capacities, support rows and scenario bits must be JSON
+    integers, and probabilities and weights JSON numbers."""
     try:
         inst = SkspInstance(
-            m=int(d["m"]),
-            capacities=tuple(int(b) for b in d["capacities"]),
+            m=json_int(d["m"], "m"),
+            capacities=tuple(json_int(b, "capacity") for b in d["capacities"]),
             items=tuple(
-                make_item(it["support"], it["scenarios"]) for it in d["items"]
+                make_item([json_int(i, "support row") for i in it["support"]],
+                          [(json_number(p, "probability"),
+                            json_number(w, "weight"),
+                            [json_int(b, "scenario bit") for b in bits])
+                           for p, w, bits in it["scenarios"]])
+                for it in d["items"]
             ),
-            k=int(d["k"]),
+            k=json_int(d["k"], "k"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed stochastic instance JSON: {exc}") from exc
     return require_clean(validate_sksp, inst)
 

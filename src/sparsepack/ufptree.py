@@ -32,8 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (ValidationReport, make_instance, read_json, require_clean,
-                   require_fractional, write_json)
+from .core import (ValidationReport, json_int, json_number, make_instance,
+                   read_json, require_clean, require_fractional, write_json)
 from .errors import EstimateError, ParamError, ValidationError
 
 ALPHA_CAP = 1.0 / (3.0 * math.e)
@@ -218,8 +218,14 @@ class UfpCrScheme:
     Construction runs the estimation pool: sim_budget simulated
     pipelines advanced demand by demand in processing order, reading
     off eta_i (the frequency of demand i being safe at its turn) just
-    before the pool applies demand i's own keep decisions.  Its loads
-    are one contiguous row per edge, so safety is an `&` of path rows.
+    before the pool applies demand i's own keep decisions.  It keeps
+    the room left on each contended edge as one contiguous row, so a
+    demand's safety is the minimum of its path rows.  An edge is
+    contended when more demand paths cross it than its capacity; any
+    other edge has room whenever a demand checks it, since fewer than
+    its capacity of the others can have routed on it, so it gets no row
+    and no term in the minimum.  A demand with no contended edge is safe
+    in every run, and its eta is B/B = 1.0.
     The pool draws only what it reads: at demand i's turn, the runs
     that sample i (a Binomial(sim_budget, alpha x_i) count, then a
     uniform subset of that size, sorted) and one keep coin for each.
@@ -266,26 +272,35 @@ class UfpCrScheme:
         B = self.params.sim_budget
         net = self.net
         n = net.n_demands
-        # usage[v] is edge v's load in each simulation; routing needs room
-        # on every edge, so usage never exceeds the largest capacity
-        usage = np.zeros((net.n_vertices, B),
-                         dtype=np.min_scalar_type(max(self.caps)))
-        eta = np.zeros(n)
+        # free[row[v]] is contended edge v's room left in each simulation,
+        # so a run is safe iff the least room on the path is positive
+        caps = np.array(self.caps)
+        crossings = np.bincount([v for p in self.paths for v in p],
+                                minlength=net.n_vertices)
+        contended = np.flatnonzero(crossings > caps)
+        row = dict(zip(contended.tolist(), range(contended.size)))
+        free = np.repeat(caps[contended].astype(np.min_scalar_type(caps.max())),
+                         B).reshape(contended.size, B)
+        eta = np.ones(n)  # B/B for a demand with no contended edge
         keep = np.zeros(n)
         for i in self.order:
-            path = self.paths[i]
-            safe = usage[path[0]] < self.caps[path[0]]
-            for v in path[1:]:
-                safe &= usage[v] < self.caps[v]
-            eta[i] = np.count_nonzero(safe) / B
+            rows = [row[v] for v in self.paths[i] if v in row]
+            if rows:
+                room = free[rows[0]]
+                for r in rows[1:]:
+                    room = np.minimum(room, free[r])
+                eta[i] = np.count_nonzero(room) / B
             keep[i] = self._keep_prob(i, eta[i])
-            # the runs that sample demand i, then one coin for each; a
-            # NaN keep compares False, so such a demand routes nothing
+            # the runs that sample demand i, then one coin for each (drawn
+            # with no contended edge too); a NaN keep compares False, so
+            # such a demand routes nothing
             runs = np.sort(rng.choice(B, rng.binomial(B, self.sample_p[i]),
                                       replace=False, shuffle=False))
-            runs = runs[safe[runs] & (rng.random(runs.size) < keep[i])]
-            if runs.size:
-                usage[np.ix_(path, runs)] += 1
+            kept = rng.random(runs.size) < keep[i]
+            if rows:
+                runs = runs[(room[runs] > 0) & kept]
+                if runs.size:
+                    free[np.ix_(rows, runs)] -= 1
         self.eta = eta
         self.keep = keep
 
@@ -353,12 +368,17 @@ def tree_to_dict(net):
 
 
 def tree_from_dict(d):
+    """Parents, the root, edge capacities and demand endpoints must be
+    JSON integers, and demand weights JSON numbers."""
     try:
         net = make_tree(
-            d["parent"], d["root"], d["edgeCapacity"],
-            [(dd["s"], dd["t"], dd["w"]) for dd in d["demands"]],
+            [json_int(p, "parent") for p in d["parent"]],
+            json_int(d["root"], "root"),
+            [json_int(c, "edgeCapacity") for c in d["edgeCapacity"]],
+            [(json_int(dd["s"], "demand s"), json_int(dd["t"], "demand t"),
+              json_number(dd["w"], "demand w")) for dd in d["demands"]],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed tree JSON: {exc}") from exc
     return require_clean(validate_tree, net)
 

@@ -20,6 +20,21 @@ def rng():
 
 
 @pytest.fixture
+def edited():
+    """A copy of a JSON dict with the entry at path (keys and indices)
+    set to value."""
+    def edit(d, path, value):
+        d = json.loads(json.dumps(d))
+        *keys, last = path
+        target = d
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        return d
+    return edit
+
+
+@pytest.fixture
 def report_digests():
     """sha256 of a --json report file, and of the same report without
     its objective_std_err, serialised as the harness writes reports."""

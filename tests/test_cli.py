@@ -213,6 +213,31 @@ def test_malformed_seed_env_is_an_input_error(gap_path, capsys, monkeypatch):
     assert "SPARSEPACK_SEED" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("round", "kcspip", "--trials", "64"),
+    ("gen", "kcs", "--n", "6", "--m", "4", "--k", "2"),
+])
+def test_negative_seed_flag_is_an_input_error(argv, gap_path, capsys):
+    # numpy's SeedSequence refuses a negative seed with a ValueError
+    extra = ("--instance", gap_path) if argv[0] == "round" else ()
+    rc, out, err = run(capsys, *argv, *extra, "--seed", "-1")
+    assert (rc, out) == (1, "")
+    assert err.count("\n") == 1 and "--seed -1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("round", "kcspip", "--trials", "64"),
+    ("gen", "tree", "--vertices", "6", "--demands", "4"),
+])
+def test_negative_seed_env_is_an_input_error(argv, gap_path, capsys,
+                                             monkeypatch):
+    monkeypatch.setenv("SPARSEPACK_SEED", "-2")
+    extra = ("--instance", gap_path) if argv[0] == "round" else ()
+    rc, out, err = run(capsys, *argv, *extra)
+    assert (rc, out) == (1, "")
+    assert err.count("\n") == 1 and "SPARSEPACK_SEED='-2'" in err
+
+
 def test_missing_file_maps_to_exit_1(capsys):
     rc, _, err = run(capsys, "round", "kcspip", "--instance", "/no/such.json",
                      "--trials", "64")

@@ -153,3 +153,32 @@ def test_load_rejects_inconsistent_header(tmp_path, tiny_instance):
     path.write_text(json.dumps(d))
     with pytest.raises(ValidationError, match="disagree"):
         load_instance(path)
+
+
+# A clean instance dict, and edits of what the loader used to coerce:
+# (path into the dict, value, the refusal).
+KCS_DICT = {"n": 2, "m": 2, "k": 2, "capacities": [1.0, 2], "weights": [1.0, 3],
+            "columns": [[[0, 1.0]], [[0, 0.5], [1, 1]]]}
+
+
+@pytest.mark.parametrize("path, value, refusal", [
+    (("columns", 0, 0, 0), 0.9, "column row=0.9 is not a JSON integer"),
+    (("columns", 1, 1, 1), "1", "coefficient='1' is not a JSON number"),
+    (("weights", 1), "2", "weight='2' is not a JSON number"),
+    (("capacities", 0), True, "capacity=True is not a JSON number"),
+    (("k",), "2", "k='2' is not a JSON integer"),
+    (("m",), 2.0, "m=2.0 is not a JSON integer"),
+])
+def test_load_refuses_what_it_used_to_coerce(path, value, refusal, edited):
+    # row 0.9 used to load as row 0, weight "2" as 2.0, capacity true
+    # as 1.0
+    with pytest.raises(ValidationError, match=refusal):
+        instance_from_dict(edited(KCS_DICT, path, value))
+
+
+def test_load_takes_json_integers_as_numbers():
+    inst = instance_from_dict(KCS_DICT)
+    assert inst.capacities == (1.0, 2.0) and inst.weights == (1.0, 3.0)
+    assert inst.columns == (((0, 1.0),), ((0, 0.5), (1, 1.0)))
+    assert type(inst.columns[1][1][1]) is float
+    assert instance_from_dict(dict(KCS_DICT, k=None)).k is None

@@ -461,3 +461,27 @@ def test_sksp_load_rejects_malformed(tmp_path):
     path.write_text('{"m": 1}')
     with pytest.raises(ValidationError, match="malformed"):
         load_sksp(path)
+
+
+SKSP_DICT = {"m": 2, "k": 2, "capacities": [2, 1], "items": [
+    {"support": [0, 1], "scenarios": [[0.25, 1.5, [1, 0]], [0.75, 1, [1, 1]]]}]}
+
+
+@pytest.mark.parametrize("path, value, refusal", [
+    (("capacities", 0), 2.7, "capacity=2.7 is not a JSON integer"),
+    (("capacities", 1), True, "capacity=True is not a JSON integer"),
+    (("k",), "2", "k='2' is not a JSON integer"),
+    (("m",), 2.0, "m=2.0 is not a JSON integer"),
+    (("items", 0, "support", 1), 1.0, "support row=1.0 is not a JSON integer"),
+    (("items", 0, "scenarios", 0, 0), "0.25",
+     "probability='0.25' is not a JSON number"),
+    (("items", 0, "scenarios", 1, 1), True, "weight=True is not a JSON number"),
+    (("items", 0, "scenarios", 1, 2, 0), True,
+     "scenario bit=True is not a JSON integer"),
+])
+def test_sksp_load_refuses_what_it_used_to_coerce(path, value, refusal,
+                                                  edited):
+    # capacities [2.7, true] used to load as (2, 1), and k "2" as 2
+    with pytest.raises(ValidationError, match=refusal):
+        sksp_from_dict(edited(SKSP_DICT, path, value))
+    assert sksp_from_dict(SKSP_DICT).items[0].scenarios[1][1] == 1.0

@@ -9,7 +9,8 @@ walk's plan leaves out: a trailing run of zero keep rows, items with a
 zero hit probability, and nothing of a zero keep row in the middle.
 Others drive the pass's rank rounds to their full depth, within a
 chance and across two, and pin the scenario of a uniform that equals a
-cumulative probability.
+cumulative probability.  The draw and the pass are pinned to twins
+that compare every keep coin and check every event's rows for room.
 """
 
 import numpy as np
@@ -90,6 +91,115 @@ def assert_walks_equal_the_pass(engine, yp, keeps, seed, trials):
         walks.append(walked)
     assert rng.bit_generator.state == twin.bit_generator.state
     return walks, plan
+
+
+def full_check_draw(yp, keeps, B, rng):
+    """`_draw` with a 2-D nonzero and every keep coin compared."""
+    T, n = yp.shape
+    tn = T * n
+    u = rng.random((B, 3 * tn + n))
+    flat = u.ravel()
+    hit = u[:, :tn].reshape(B, T, n) < yp
+    live = (u[:, 2 * tn:3 * tn].reshape(B, T, n) < keeps) & hit
+    chances = []
+    for t in range(T):
+        if t:
+            live[:, t] &= ~hit[:, t - 1]
+            hit[:, t] |= hit[:, t - 1]
+        runs, items = np.nonzero(live[:, t])
+        row = runs * u.shape[1]
+        order = flat[row + tn + t * n + items].argsort()
+        items = items[order[runs[order].astype(np.min_scalar_type(B - 1))
+                            .argsort(kind="stable")]]
+        chances.append((runs, items, flat[row + 3 * tn + items]))
+    return B, chances
+
+
+def full_check_pass(engine, draws):
+    """`_pass` with every event's rows checked for room."""
+    B, chances = draws
+    n, m1, S = engine.inst.n, engine.room.size, engine.scum.shape[0]
+    added = np.full(B * n, -1, dtype=np.min_scalar_type(-len(chances)))
+    free = np.tile(engine.room, B)
+    weight, events = np.zeros(B), np.zeros(B, dtype=np.int64)
+    for t, (runs, items, scen_u) in enumerate(chances):
+        per_run = np.bincount(runs, minlength=B)
+        first = np.cumsum(per_run) - per_run
+        active = np.flatnonzero(per_run)
+        for rank in range(per_run.max()):
+            e = first[active] + rank
+            j = items[e]
+            cells = engine.sup.take(j, axis=1) + active * m1
+            ok = (free[cells] > 0).all(axis=0)
+            r, e, j, cells = active[ok], e[ok], j[ok], cells[:, ok]
+            js = j * S + (engine.scum.take(j, axis=1) < scen_u[e]).sum(axis=0)
+            free[cells] -= engine.bit_tab.take(js, axis=1)
+            weight[r] += engine.w_tab[js]
+            added[r * n + j] = t
+            events[r] += 1
+            active = active[per_run[active] > rank + 1]
+    usage = (engine.room - free.reshape(B, m1))[:, :-1]
+    return added.reshape(B, n), usage, weight, events
+
+
+def twin_keep_rows(n):
+    """Keep rows of ones, zeros, fractions, entries at or above 1, and
+    NaN (which no coin falls below)."""
+    return (keep_rows(n)
+            | st.lists(st.sampled_from([1.0, 1.5, np.inf, np.nan]),
+                       min_size=n, max_size=n)
+            | st.lists(st.floats(0.0, 1.0) | st.just(np.nan), min_size=n,
+                       max_size=n))
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.data())
+def test_draw_and_pass_equal_their_full_check_twins(data):
+    # the draw skips the coins of a keep row with no entry below 1, and
+    # the pass skips the room check of each run's first event
+    inst = data.draw(instances())
+    n = inst.n
+    x = data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                           min_size=n, max_size=n))
+    T = data.draw(st.integers(2, 3))
+    alphas = data.draw(st.lists(st.sampled_from([0.0, 1.0])
+                                | st.floats(0.0, 1.0), min_size=T, max_size=T))
+    keeps = np.array([data.draw(twin_keep_rows(n)) for _ in range(T)])
+    B = data.draw(st.integers(1, 60))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+
+    engine = _Engine(inst, x)
+    assert_draw_and_pass_equal_their_twins(engine, engine.y_probs(alphas),
+                                           keeps, B, seed)
+
+
+def assert_draw_and_pass_equal_their_twins(engine, yp, keeps, B, seed):
+    rng, twin = trial_rng(seed, 0), trial_rng(seed, 0)
+    drawn = engine._draw(yp, keeps, B, rng)
+    want = full_check_draw(yp, keeps, B, twin)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert drawn[0] == want[0] == B
+    for got, expect in zip(drawn[1], want[1], strict=True):
+        assert_same_arrays(got, expect)
+    assert_same_arrays(engine._pass(drawn), full_check_pass(engine, want))
+
+
+def test_a_full_row_blocks_later_ranks_and_chances_as_in_the_twin():
+    # six items on one unit row, every one live in some chance: the
+    # first event of each run adds, and every later one finds the row
+    # full; the last keep row has no entry below 1 but NaNs
+    engine = _Engine(contended_instance(), [1.0] * 6)
+    keeps = np.array([[1.0] * 6, [0.5, np.nan, 1.0, 1.0, 0.25, 1.0],
+                      [np.nan, 1.0, 1.5, np.inf, np.nan, 1.0]])
+    yp = engine.y_probs([0.6, 0.5, 1.0])
+    assert_draw_and_pass_equal_their_twins(engine, yp, keeps, 400, 28)
 
 
 def two_scenario_item(rows, weight):

@@ -324,3 +324,24 @@ def test_tree_load_rejects_malformed(tmp_path):
     path.write_text('{"parent": [-1]}')
     with pytest.raises(ValidationError, match="malformed"):
         load_tree(path)
+
+
+TREE_DICT = {"parent": [-1, 0, 1, 1], "root": 0, "edgeCapacity": [1, 2, 1, 1],
+             "demands": [{"s": 0, "t": 3, "w": 1.5}, {"s": 2, "t": 3, "w": 1}]}
+
+
+@pytest.mark.parametrize("path, value, refusal", [
+    (("demands", 0, "s"), 3.9, "demand s=3.9 is not a JSON integer"),
+    (("demands", 1, "t"), "3", "demand t='3' is not a JSON integer"),
+    (("edgeCapacity", 1), "2", "edgeCapacity='2' is not a JSON integer"),
+    (("demands", 1, "w"), True, "demand w=True is not a JSON number"),
+    (("parent", 2), 1.0, "parent=1.0 is not a JSON integer"),
+    (("root",), False, "root=False is not a JSON integer"),
+])
+def test_tree_load_refuses_what_it_used_to_coerce(path, value, refusal,
+                                                  edited):
+    # endpoint 3.9 used to load as 3, edgeCapacity "2" as 2, weight
+    # true as 1.0
+    with pytest.raises(ValidationError, match=refusal):
+        tree_from_dict(edited(TREE_DICT, path, value))
+    assert tree_from_dict(TREE_DICT).demands[1] == (2, 3, 1.0)

@@ -5,7 +5,9 @@ against step-by-step walks, on random parent arrays (hypothesis).
 Safety tables include zeros, whose NaN keep must raise EstimateError
 only in a trial that reaches the demand; the pool is also checked at
 its boundaries (a demand never sampled, a one-run pool, a zero
-estimate from the pool itself).
+estimate from the pool itself).  The pool, which keeps loads only on
+the edges crossed by more demand paths than their capacity, is pinned
+to a twin that keeps a load on every edge.
 """
 
 import math
@@ -167,6 +169,93 @@ def test_a_zero_pool_estimate_raises_only_in_a_trial_that_reaches_it():
     assert outcomes == [outcome(reference_trial, scheme, twin)
                         for _ in range(400)]
     assert EstimateError in outcomes and frozenset() in outcomes
+
+
+# ---------------------------------------------------------------------------
+# The pool tracks contended edges only: its twin with a row for every edge
+
+def full_usage_pool(scheme, rng):
+    """eta, keep and clamped of the pool with a usage row for every
+    edge, contended or not, and each demand's safety an AND over its
+    whole path."""
+    net, B, beta = scheme.net, scheme.params.sim_budget, scheme.params.beta
+    usage = np.zeros((net.n_vertices, B),
+                     dtype=np.min_scalar_type(max(scheme.caps)))
+    eta, keep, clamped = np.zeros(net.n_demands), np.zeros(net.n_demands), []
+    for i in scheme.order:
+        path = scheme.paths[i]
+        safe = usage[path[0]] < scheme.caps[path[0]]
+        for v in path[1:]:
+            safe &= usage[v] < scheme.caps[v]
+        eta[i] = np.count_nonzero(safe) / B
+        if eta[i] <= 0.0:
+            keep[i] = np.nan
+        else:
+            if eta[i] < beta:
+                clamped.append(i)
+            keep[i] = min(1.0, beta / eta[i])
+        runs = np.sort(rng.choice(B, rng.binomial(B, scheme.sample_p[i]),
+                                  replace=False, shuffle=False))
+        runs = runs[safe[runs] & (rng.random(runs.size) < keep[i])]
+        if runs.size:
+            usage[np.ix_(path, runs)] += 1
+    return eta, keep, clamped
+
+
+def crossings(net):
+    """Per vertex, the demand paths that cross the edge above it."""
+    count = [0] * net.n_vertices
+    for _, path in net.demand_paths:
+        for v in path:
+            count[v] += 1
+    return count
+
+
+@st.composite
+def contended_trees(draw):
+    """Trees whose edge capacities sit below, at or above the number of
+    demand paths crossing them (so some demands have no contended
+    edge)."""
+    base = draw(trees())
+    caps = [1] + [max(1, c + draw(st.integers(-2, 1)))
+                  for c in crossings(base)[1:]]
+    return make_tree(base.parent, 0, caps, base.demands)
+
+
+def pool_equals_the_full_usage_pool(net, x, params, seed):
+    rng, twin = trial_rng(seed, 0), trial_rng(seed, 0)
+    scheme = UfpCrScheme(net, x, params, rng)
+    eta, keep, clamped = full_usage_pool(scheme, twin)
+    assert scheme.eta.tobytes() == eta.tobytes()
+    assert scheme.keep.tobytes() == keep.tobytes()
+    assert scheme.clamped == clamped
+    assert rng.bit_generator.state == twin.bit_generator.state
+    return scheme
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.data())
+def test_pool_equals_the_full_usage_pool(data):
+    net = data.draw(contended_trees())
+    n = net.n_demands
+    x = data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                           min_size=n, max_size=n))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    pool_equals_the_full_usage_pool(net, x, data.draw(params()), seed)
+
+
+def test_a_demand_with_no_contended_edge_is_safe_in_every_run():
+    # edge 1 (cap 2) is crossed by demands 0 and 1, edge 2 (cap 1) by
+    # demands 1 and 2, edge 3 (cap 3) by demand 3 alone: only edge 2 is
+    # contended, so demands 0 and 3 are safe in every run; demand 1 comes
+    # before demand 2 in the order, so it finds edge 2 empty
+    net = make_tree([-1, 0, 0, 0], 0, [1, 2, 1, 3],
+                    [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
+    assert crossings(net)[1:] == [2, 2, 1]
+    scheme = pool_equals_the_full_usage_pool(net, [1.0] * 4,
+                                             UfpParams(0.1, 20_000), 6)
+    assert scheme.eta[0] == scheme.eta[1] == scheme.eta[3] == 1.0
+    assert 0.9 < scheme.eta[2] < 1.0
 
 
 # ---------------------------------------------------------------------------
